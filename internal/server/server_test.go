@@ -245,12 +245,15 @@ func TestCancelResumeBitIdenticalOverSocket(t *testing.T) {
 	// every handful of steps, so the latched cancel lands on a rebuild
 	// boundary quickly; noreorder because bit-exact resume in the
 	// shared modes needs the cache reordering off (see core.Config.Stop).
+	// One thread: a JobSpec cannot choose the update method, and under
+	// the default selected-atomic locks two T>1 runs of one spec differ
+	// in the last bits with the order threads reach a shared particle.
 	// The total is generous because the cancel round-trips over the
 	// socket: on a starved single-CPU machine the first streamed step
 	// can reach the client tens of milliseconds late, and the job must
 	// still be comfortably mid-run when the cancel lands.
 	const total = 20000
-	spec := JobSpec{D: 2, N: 300, Iters: total, Mode: "openmp", T: 2,
+	spec := JobSpec{D: 2, N: 300, Iters: total, Mode: "openmp", T: 1,
 		Warm: 1, Vel: 4, RC: 1.2, NoReorder: true}
 
 	// Reference: an unbroken run of the same spec.

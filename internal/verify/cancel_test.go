@@ -7,6 +7,7 @@ import (
 	"hybriddem/internal/checkpoint"
 	"hybriddem/internal/core"
 	"hybriddem/internal/geom"
+	"hybriddem/internal/shm"
 )
 
 // cancelConfig is a deliberately lively system: enough velocity and a
@@ -69,15 +70,32 @@ func TestCancelResumeBitIdentical(t *testing.T) {
 	// rebuild, which a fresh setup cannot reproduce, so bit-exact
 	// resume in Serial/OpenMP needs Reorder off (see Config.Stop). The
 	// distributed modes canonicalise particle order during migration
-	// and keep their default reordering.
+	// and keep their default reordering. The T>1 rows use the
+	// Transpose reduction: under the lock methods the order two threads
+	// add into a shared particle depends on the host's scheduling, so
+	// two runs of the same configuration need not agree bit for bit.
+	// The lock methods and the fused kernel are gated at T=1.
 	cases := []struct {
 		name string
 		set  func(*core.Config)
 	}{
 		{"serial", func(c *core.Config) { c.Mode = core.Serial; c.Reorder = false }},
-		{"openmp", func(c *core.Config) { c.Mode = core.OpenMP; c.T = 2; c.Reorder = false }},
+		{"openmp", func(c *core.Config) {
+			c.Mode = core.OpenMP
+			c.T = 2
+			c.Method = shm.Transpose
+			c.Reorder = false
+		}},
+		{"openmp-selected-t1", func(c *core.Config) { c.Mode = core.OpenMP; c.T = 1; c.Reorder = false }},
 		{"mpi", func(c *core.Config) { c.Mode = core.MPI; c.P = 2; c.BlocksPerProc = 2 }},
-		{"hybrid", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 2 }},
+		{"hybrid", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 2; c.Method = shm.Transpose }},
+		{"hybrid-selected-t1", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 1 }},
+		{"hybrid-fused-t1", func(c *core.Config) {
+			c.Mode = core.Hybrid
+			c.P, c.T = 2, 1
+			c.Method = shm.Atomic
+			c.Fused = true
+		}},
 		{"mpism", func(c *core.Config) { c.Mode = core.MPIsm; c.P = 2 }},
 	}
 	for _, tc := range cases {
