@@ -117,6 +117,11 @@ func benchUpdater(b *testing.B, method shm.Method, threads int) {
 	}
 }
 
+// BenchmarkUpdaterSelectedAtomicT1 is the thread path's kernel with
+// nothing to lock, on BenchmarkForceSerial3D's list: CI holds it to
+// 1.15x the serial kernel and 0 allocs/op (bench-and-alloc-gate).
+func BenchmarkUpdaterSelectedAtomicT1(b *testing.B) { benchUpdater(b, shm.SelectedAtomic, 1) }
+
 func BenchmarkUpdaterAtomicT4(b *testing.B)         { benchUpdater(b, shm.Atomic, 4) }
 func BenchmarkUpdaterSelectedAtomicT4(b *testing.B) { benchUpdater(b, shm.SelectedAtomic, 4) }
 func BenchmarkUpdaterStripeT4(b *testing.B)         { benchUpdater(b, shm.Stripe, 4) }

@@ -561,7 +561,12 @@ type Result struct {
 	// rebuild time only (they have no migration or repartition).
 	TotalTime float64
 
-	// Wall is the real host time for the measured iterations.
+	// Wall is the real host time of the measured loop alone, in every
+	// mode: the stopwatch starts after placement, the first list build
+	// and the warm-up (in the distributed modes after the barrier that
+	// follows them, on rank 0) and stops after the last measured step,
+	// before results are gathered and ranks or teams torn down. Probe,
+	// OnStep and Stop hooks run inside the loop and are included.
 	Wall time.Duration
 
 	// Phase breakdown of PerIter (rank-0 attribution). CommTime is the

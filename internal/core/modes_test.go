@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"hybriddem/internal/geom"
 	"hybriddem/internal/machine"
@@ -404,5 +405,47 @@ func TestEfficiencyHelper(t *testing.T) {
 	zero := &Result{}
 	if zero.Efficiency(ref, 1) != 0 {
 		t.Error("zero-time efficiency should be 0")
+	}
+}
+
+// TestWallTimesTheMeasuredLoopOnly: Result.Wall means the same thing in
+// every mode — the measured iterations, not placement, the first list
+// build, the warm-up or the teardown. With forty warm-up steps for
+// every measured one, a stopwatch around the whole run would read about
+// the call's own duration; the measured loop is a small fraction of it.
+// Three attempts, so one hypervisor stall inside a five-step window
+// cannot fail the test.
+func TestWallTimesTheMeasuredLoopOnly(t *testing.T) {
+	const iters = 5
+	modes := map[string]func(*Config){
+		"serial": func(c *Config) {},
+		"openmp": func(c *Config) { c.Mode = OpenMP; c.T = 2 },
+		"mpi":    func(c *Config) { c.Mode = MPI; c.P = 2 },
+		"mpism":  func(c *Config) { c.Mode = MPIsm; c.P = 2 },
+		"hybrid": func(c *Config) { c.Mode = Hybrid; c.P, c.T = 2, 2 },
+	}
+	for name, set := range modes {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(2, 2000)
+			cfg.CollectState = false
+			cfg.Warmup = 40 * iters
+			set(&cfg)
+			var wall, call time.Duration
+			for attempt := 0; attempt < 3; attempt++ {
+				t0 := time.Now()
+				res, err := Run(cfg, iters)
+				call = time.Since(t0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wall = res.Wall; wall <= 0 {
+					t.Fatalf("Wall = %v", wall)
+				}
+				if 4*wall < call {
+					return
+				}
+			}
+			t.Errorf("Wall %v of a %v call with %d warm-up and %d measured steps: set-up is inside the stopwatch", wall, call, cfg.Warmup, iters)
+		})
 	}
 }

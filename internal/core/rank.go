@@ -722,7 +722,6 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 
 	results := make([]*Result, cfg.P)
 	stopped := false // written by rank 0 only, read after RunOpts returns
-	start := time.Now()
 	comms, err := mp.RunOpts(cfg.P, mp.RunOptions{
 		Net:         net,
 		Faults:      cfg.Faults,
@@ -766,6 +765,7 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 		}
 		r.forceTime, r.updateTime, r.commTime, r.collTime = 0, 0, 0, 0
 		rebuilds0 := r.rebuilds
+		start := time.Now() // after the barrier: the measured loop only
 
 		total := 0.0
 		completed := 0
@@ -828,6 +828,7 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 				}
 			}
 		}
+		wall := time.Since(start)
 		// The full virtual clock since the post-warmup reset covers the
 		// timed phases plus rebuilds, migration, and repartition; read
 		// it before the result collectives below advance it further.
@@ -863,6 +864,7 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 			Iters:      seg.start + completed,
 			PerIter:    perIter,
 			TotalTime:  totalIter,
+			Wall:       wall,
 			Epot:       r.epot,
 			Ekin:       r.ekin,
 			NLinks:     int64(nlinks),
@@ -888,13 +890,11 @@ func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
 		}
 		results[c.Rank()] = res
 	})
-	wall := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 
 	out := results[0]
-	out.Wall = wall
 	var tc trace.Counters
 	var taken, avoided int64
 	for i, res := range results {

@@ -63,7 +63,7 @@ func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 // tables are not supported (core.Config.Validate rejects the
 // combination).
 func (s Spring) AccumulateF32(ps *particle.Store, links []cell.Link, nCore int, box geom.Box, energyScale float64, sc *F32Scratch, tc *trace.Counters) float64 {
-	if s.Bonds != nil {
+	if s.Bonds != nil || (ps.D != 2 && ps.D != 3) {
 		return s.Accumulate(ps, links, nCore, box, energyScale, tc)
 	}
 	damp := s.Damp > 0
@@ -75,8 +75,6 @@ func (s Spring) AccumulateF32(ps *particle.Store, links []cell.Link, nCore int, 
 		epot, contacts, distSum = s.accumulateF32d2(ps, links, nCore, box, sc)
 	case 3:
 		epot, contacts, distSum = s.accumulateF32d3(ps, links, nCore, box, sc)
-	default:
-		epot, contacts, distSum = s.accumulateSlow(ps, links, nCore, box)
 	}
 	if tc != nil {
 		n := int64(len(links))

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -13,6 +14,18 @@ import (
 // the server-side half of the slow-consumer contract; the connection
 // writer sends a best-effort "dropped" notice when it drains the
 // closed channel.
+//
+// Not blocking is not the same as not yielding. The publisher is a
+// step loop that never parks, and when every processor runs one, the
+// connection writers it has just made runnable wait for the runtime's
+// 10 ms preemption tick: an event then reaches its client 10-70 ms
+// late, by a delay that changes from one event to the next. So publish
+// yields the processor once after handing an event to at least one
+// subscriber. The writer runs at once and the step loop is next in
+// line; with nobody subscribed nothing changes. On a daemon with more
+// simulating goroutines than processors the yield cedes the rest of
+// the time slice to whoever waits: a watched job pays for being
+// watched there.
 type hub struct {
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
@@ -70,11 +83,13 @@ func (h *hub) unsubscribe(s *subscriber) {
 // publish offers one marshalled event line to every subscriber.
 // Subscribers with no free buffer are evicted rather than waited on.
 func (h *hub) publish(b []byte) {
+	delivered := false
 	h.mu.Lock()
 	for s := range h.subs {
 		select {
 		case s.ch <- b:
 			h.sent.Add(1)
+			delivered = true
 		default:
 			delete(h.subs, s)
 			s.evicted.Store(true)
@@ -83,6 +98,9 @@ func (h *hub) publish(b []byte) {
 		}
 	}
 	h.mu.Unlock()
+	if delivered {
+		runtime.Gosched()
+	}
 }
 
 // publishFinal atomically delivers one last event to every subscriber

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -65,4 +67,32 @@ func TestSlowSubscriberDropped(t *testing.T) {
 	if h.sent.Load() != 3 {
 		t.Fatalf("sent counter = %d, want 3 enqueues (e1 twice, e2 once)", h.sent.Load())
 	}
+}
+
+// TestPublishLetsSubscribersRun pins the yield in publish: a publisher
+// that never parks, on the only processor, still gets its events to a
+// subscriber while it runs instead of at the runtime's 10 ms preemption
+// tick. The publisher below is done well inside one tick, so without
+// the yield the subscriber sees nothing before it finishes.
+func TestPublishLetsSubscribersRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const events = 20
+	h := newHub()
+	sub, _ := h.subscribe(events)
+	var seen atomic.Int64
+	go func() {
+		for range sub.ch {
+			seen.Add(1)
+		}
+	}()
+	for i := 0; i < events; i++ {
+		h.publish([]byte("step"))
+		for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
+			// a step of the simulation: busy, never parked
+		}
+	}
+	if got := seen.Load(); got < events/2 {
+		t.Fatalf("subscriber saw %d of %d events while the publisher ran", got, events)
+	}
+	h.closeAll()
 }

@@ -85,7 +85,7 @@ type Job struct {
 	started time.Time // when the worker picked it up
 
 	itersDone  atomic.Int64 // cumulative measured iterations completed
-	itersStart int64        // iterations restored at the start of this attempt
+	itersStart atomic.Int64 // iterations restored at the start of this attempt
 
 	stop       atomic.Bool  // the core.Config.Stop hook reads this
 	stopReason atomic.Int32 // first stop* reason to fire wins
@@ -216,7 +216,7 @@ func (j *Job) status() *JobStatus {
 	}
 	if state == StateRunning && !started.IsZero() {
 		if el := time.Since(started).Seconds(); el > 0 {
-			st.StepsPerS = float64(j.itersDone.Load()-j.itersStart) / el
+			st.StepsPerS = float64(j.itersDone.Load()-j.itersStart.Load()) / el
 		}
 	}
 	return st

@@ -789,7 +789,7 @@ func (s *Server) execute(j *Job) (st State, errMsg string, retryable bool) {
 			eff.Load, restored, total), false
 	}
 
-	j.itersStart = int64(restored)
+	j.itersStart.Store(int64(restored))
 	j.itersDone.Store(int64(restored))
 	cfg.CollectState = spec.Checkpoint != "" || durable != ""
 	if spec.WatchdogMs > 0 {

@@ -396,3 +396,43 @@ func TestShutdownCancelsAndCheckpoints(t *testing.T) {
 		t.Fatal("submit accepted after shutdown")
 	}
 }
+
+// TestStatusWhileJobsArePickedUp polls status without pause while
+// workers take jobs off the queue: the steps-per-second figure reads the
+// attempt's restored iteration count, which the worker writes as it
+// starts the attempt. Run under -race (CI does); the assertions are the
+// plain contract that a running job never reports a negative rate.
+func TestStatusWhileJobsArePickedUp(t *testing.T) {
+	s, _ := startServer(t, Options{Workers: 2})
+	for round := 0; round < 6; round++ {
+		var ids []string
+		for k := 0; k < 2; k++ {
+			r := s.Submit(&JobSpec{D: 2, N: 200, Iters: 40, Seed: int64(round*2 + k + 1)})
+			if !r.OK {
+				t.Fatalf("submit: %s", r.Error)
+			}
+			ids = append(ids, r.ID)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for pending := len(ids); pending > 0; {
+			pending = 0
+			for _, id := range ids {
+				resp := s.Status(id)
+				if !resp.OK {
+					t.Fatalf("status %s: %s", id, resp.Error)
+				}
+				switch st := resp.Job; {
+				case st.State == "failed" || st.State == "canceled":
+					t.Fatalf("job %s reached %s (%s)", id, st.State, st.Error)
+				case st.StepsPerS < 0:
+					t.Fatalf("job %s reports %g steps/s", id, st.StepsPerS)
+				case st.State != "done":
+					pending++
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d jobs still not done", round, pending)
+			}
+		}
+	}
+}

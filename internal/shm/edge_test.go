@@ -97,27 +97,6 @@ func TestScaleWorkLeavesOverheadsAlone(t *testing.T) {
 	}
 }
 
-func TestSplitLinks(t *testing.T) {
-	cases := []struct {
-		lo, hi, nc   int
-		wantC, wantH int64
-	}{
-		{0, 10, 10, 10, 0},
-		{0, 10, 5, 5, 5},
-		{5, 10, 5, 0, 5},
-		{0, 10, 0, 0, 10},
-		{3, 7, 20, 4, 0},
-		{8, 8, 5, 0, 0},
-	}
-	for _, tc := range cases {
-		c, h := splitLinks(tc.lo, tc.hi, tc.nc)
-		if c != tc.wantC || h != tc.wantH {
-			t.Errorf("splitLinks(%d,%d,%d) = (%d,%d), want (%d,%d)",
-				tc.lo, tc.hi, tc.nc, c, h, tc.wantC, tc.wantH)
-		}
-	}
-}
-
 func TestThreadComputeIgnoresNegative(t *testing.T) {
 	tm := NewTeam(1, Costs{})
 	tm.Region(func(th *Thread) {

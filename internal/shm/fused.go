@@ -2,8 +2,6 @@ package shm
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
@@ -16,18 +14,6 @@ import (
 type BlockStore struct {
 	PS    *particle.Store
 	NCore int
-}
-
-// spinAdd accumulates sign*v into column p of the component-major dst
-// under a per-particle spinlock.
-func spinAdd(locks []int32, p int32, dst *geom.Coords, v geom.Vec, d int, sign float64) {
-	for !atomic.CompareAndSwapInt32(&locks[p], 0, 1) {
-		runtime.Gosched()
-	}
-	for k := 0; k < d; k++ {
-		dst[k][p] += sign * v[k]
-	}
-	atomic.StoreInt32(&locks[p], 0)
 }
 
 type zeroBlocksBody struct {
@@ -109,15 +95,17 @@ type FusedUpdater struct {
 	total   int
 	T       int
 	tables  []*ConflictTable
+	masks   [][]bool // per piece: which particles the kernel locks
+	all     []bool   // all-true backing of the Atomic masks
 	locks   [][]int32
-	ranges  [][2]int // per-thread range scratch, reused per piece
+	ranges  [][2]int       // per-thread range scratch, reused per piece
+	counts  []updateCounts // per thread, summed over pieces
 
 	epotPer []float64
 	sp      force.Spring
 	box     geom.Box
-	hook    func(m Method, idI, idJ int32, fi geom.Vec) geom.Vec
+	hook    func(idI, idJ int32, fi geom.Vec) geom.Vec
 	gate    *HaloGate
-	body    fusedBody
 }
 
 // NewFusedUpdater returns a fused updater; only the per-update
@@ -132,10 +120,21 @@ func NewFusedUpdater(m Method) *FusedUpdater {
 	}
 }
 
-// Prepare recomputes the global chunking and per-piece conflict tables
-// for the current lists, reusing the updater's scratch; call at every
-// rebuild. The pieces slice is retained (not copied), so callers that
-// rebuild repeatedly should reuse one slice.
+// pieceRange clips thread t's chunk of the concatenated list to piece
+// i, in piece-local link indices; hi <= lo when they do not meet.
+func (fu *FusedUpdater) pieceRange(i, t int) (lo, hi int) {
+	glo, ghi := chunk(fu.total, fu.T, t)
+	n := fu.offsets[i+1] - fu.offsets[i]
+	lo = min(max(glo-fu.offsets[i], 0), n)
+	hi = min(max(ghi-fu.offsets[i], lo), n)
+	return lo, hi
+}
+
+// Prepare recomputes the global chunking, the per-piece conflict
+// tables and the per-thread update counts for the current lists,
+// reusing the updater's scratch; call at every rebuild. The pieces
+// slice is retained (not copied), so callers that rebuild repeatedly
+// should reuse one slice.
 func (fu *FusedUpdater) Prepare(pieces []FusedPiece, T int) {
 	fu.pieces = pieces
 	fu.T = T
@@ -148,39 +147,35 @@ func (fu *FusedUpdater) Prepare(pieces []FusedPiece, T int) {
 		fu.offsets[i+1] = fu.offsets[i] + len(p.Links)
 	}
 	fu.total = fu.offsets[len(pieces)]
-	if cap(fu.tables) < len(pieces) {
-		tables := make([]*ConflictTable, len(pieces))
-		copy(tables, fu.tables)
-		fu.tables = tables
+	for len(fu.tables) < len(pieces) {
+		fu.tables = append(fu.tables, new(ConflictTable))
+		fu.masks = append(fu.masks, nil)
+		fu.locks = append(fu.locks, nil)
 	}
-	fu.tables = fu.tables[:len(pieces)]
-	if cap(fu.locks) < len(pieces) {
-		locks := make([][]int32, len(pieces))
-		copy(locks, fu.locks)
-		fu.locks = locks
-	}
-	fu.locks = fu.locks[:len(pieces)]
 	if cap(fu.ranges) < T {
 		fu.ranges = make([][2]int, T)
+		fu.counts = make([]updateCounts, T)
+		fu.epotPer = make([]float64, T)
 	}
 	ranges := fu.ranges[:T]
+	fu.counts = fu.counts[:T]
+	fu.epotPer = fu.epotPer[:T]
+	for t := range fu.counts {
+		fu.counts[t] = updateCounts{}
+	}
 	for i, p := range pieces {
-		for t := 0; t < T; t++ {
-			glo, ghi := chunk(fu.total, T, t)
-			lo := clampRange(glo-fu.offsets[i], len(p.Links))
-			hi := clampRange(ghi-fu.offsets[i], len(p.Links))
-			if hi < lo {
-				hi = lo
-			}
+		for t := range ranges {
+			lo, hi := fu.pieceRange(i, t)
 			ranges[t] = [2]int{lo, hi}
 		}
-		if fu.Method == SelectedAtomic {
-			if fu.tables[i] == nil {
-				fu.tables[i] = new(ConflictTable)
-			}
-			fu.tables[i].rebuildRanges(p.Links, p.PS.Len(), p.NCore, ranges)
-		}
 		n := p.PS.Len()
+		if fu.Method == SelectedAtomic {
+			fu.tables[i].rebuildRanges(p.Links, n, p.NCore, ranges)
+		}
+		fu.masks[i] = lockMask(fu.Method, fu.tables[i], &fu.all, n)
+		for t, r := range ranges {
+			fu.counts[t].count(p.Links[r[0]:r[1]], p.NCore, fu.masks[i])
+		}
 		if cap(fu.locks[i]) < n {
 			fu.locks[i] = make([]int32, n)
 		}
@@ -191,45 +186,24 @@ func (fu *FusedUpdater) Prepare(pieces []FusedPiece, T int) {
 			fu.locks[i][k] = 0
 		}
 	}
-	if cap(fu.epotPer) < T {
-		fu.epotPer = make([]float64, T)
-	}
-	fu.epotPer = fu.epotPer[:T]
-}
-
-// clampRange clips a piece-local index into [0, n].
-func clampRange(v, n int) int {
-	if v < 0 {
-		return 0
-	}
-	if v > n {
-		return n
-	}
-	return v
 }
 
 // NumShared returns the total number of protected particles across
 // all pieces.
 func (fu *FusedUpdater) NumShared() int {
 	n := 0
-	for _, t := range fu.tables {
-		if t != nil {
-			n += t.nShared
-		}
+	for _, t := range fu.tables[:len(fu.pieces)] {
+		n += t.nShared
 	}
 	return n
 }
-
-type fusedBody struct{ fu *FusedUpdater }
-
-func (b *fusedBody) RunThread(th *Thread) { b.fu.runThread(th) }
 
 // Accumulate runs the fused force loop in one parallel region and
 // returns the total potential energy (halo links at half weight).
 func (fu *FusedUpdater) Accumulate(tm *Team, sp force.Spring, box geom.Box) float64 {
 	fu.setupRegion(tm, sp, box, nil)
-	tm.RunRegion(&fu.body)
-	return fu.sumEpot()
+	tm.RunRegion(fu)
+	return sumEpot(fu.epotPer)
 }
 
 // AccumulateStart dispatches the fused force region to the worker
@@ -238,7 +212,7 @@ func (fu *FusedUpdater) Accumulate(tm *Team, sp force.Spring, box geom.Box) floa
 // boundary of their chunk. Complete with AccumulateFinish.
 func (fu *FusedUpdater) AccumulateStart(tm *Team, sp force.Spring, box geom.Box, gate *HaloGate) {
 	fu.setupRegion(tm, sp, box, gate)
-	tm.StartRegion(&fu.body)
+	tm.StartRegion(fu)
 }
 
 // AccumulateFinish runs the master's share of a region begun with
@@ -246,7 +220,7 @@ func (fu *FusedUpdater) AccumulateStart(tm *Team, sp force.Spring, box geom.Box,
 // and returns the potential energy.
 func (fu *FusedUpdater) AccumulateFinish(tm *Team, masterAt float64) float64 {
 	tm.FinishRegion(masterAt)
-	return fu.sumEpot()
+	return sumEpot(fu.epotPer)
 }
 
 func (fu *FusedUpdater) setupRegion(tm *Team, sp force.Spring, box geom.Box, gate *HaloGate) {
@@ -255,127 +229,29 @@ func (fu *FusedUpdater) setupRegion(tm *Team, sp force.Spring, box geom.Box, gat
 	}
 	fu.sp = sp
 	fu.box = box
-	fu.hook = PairForceHook
+	fu.hook = pairHook(fu.Method)
 	fu.gate = gate
-	fu.body.fu = fu
 }
 
-func (fu *FusedUpdater) sumEpot() float64 {
-	epot := 0.0
-	for _, e := range fu.epotPer {
-		epot += e
-	}
-	return epot
-}
-
-// runThread is one thread's share of the fused force loop.
-func (fu *FusedUpdater) runThread(th *Thread) {
-	tm := th.team
-	costs := tm.Costs
-	glo, ghi := chunk(fu.total, tm.T, th.ID)
-	epot := 0.0
-	var taken, avoided, nl, distSum, contacts, contactsHalo int64
-	var effLinks float64
-	hw := costs.haloWork()
+// RunThread is one thread's share of the fused force loop: its chunk
+// of the concatenated list, piece by piece, through the pair kernel.
+func (fu *FusedUpdater) RunThread(th *Thread) {
+	var tl tally
 	// One gate wait suffices: the exchange delivers every block's halo
 	// before the gate opens, so after the first wait the remaining
 	// pieces' halo links are safe too.
 	gate := fu.gate
 	for pi := range fu.pieces {
 		p := &fu.pieces[pi]
-		lo := glo - fu.offsets[pi]
-		hi := ghi - fu.offsets[pi]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(p.Links) {
-			hi = len(p.Links)
-		}
+		lo, hi := fu.pieceRange(pi, th.ID)
 		if hi <= lo {
 			continue
 		}
-		d := p.PS.D
-		pos, vel, frc, ids := &p.PS.Pos, &p.PS.Vel, &p.PS.Frc, p.PS.ID
-		locks := fu.locks[pi]
-		var shared []bool
-		if fu.Method == SelectedAtomic {
-			shared = fu.tables[pi].shared
-		}
-		if gate != nil && lo >= p.NCoreLinks {
-			gate.Wait(th)
+		sink := force.Sink{Frc: &p.PS.Frc, Shared: fu.masks[pi], Locks: fu.locks[pi], Hook: fu.hook}
+		if tl.run(th, gate, fu.sp, &sink, p.PS, p.Links, lo, hi, p.NCoreLinks, p.NCore, fu.box) {
 			gate = nil
 		}
-		for li := lo; li < hi; li++ {
-			if gate != nil && li == p.NCoreLinks {
-				gate.Wait(th)
-				gate = nil
-			}
-			l := p.Links[li]
-			disp := fu.box.DispAt(pos, l.I, l.J)
-			rel := geom.SubAt(vel, l.J, l.I, d)
-			fi, e, contact := fu.sp.PairID(ids[l.I], ids[l.J], disp, rel, d)
-			if fu.hook != nil {
-				fi = fu.hook(fu.Method, ids[l.I], ids[l.J], fi)
-			}
-			if li < p.NCoreLinks {
-				if contact {
-					contacts++
-				}
-				epot += e
-			} else {
-				if contact {
-					contactsHalo++
-				}
-				epot += 0.5 * e
-			}
-			fu.apply(th, locks, shared, frc, l.I, fi, +1, d, &taken, &avoided)
-			if int(l.J) < p.NCore {
-				fu.apply(th, locks, shared, frc, l.J, fi, -1, d, &taken, &avoided)
-			}
-			di := int64(l.I) - int64(l.J)
-			if di < 0 {
-				di = -di
-			}
-			distSum += di
-		}
-		nl += int64(hi - lo)
-		coreN, haloN := splitLinks(lo, hi, p.NCoreLinks)
-		effLinks += float64(coreN) + float64(haloN)*hw
 	}
-	th.TC.ForceEvals += nl
-	th.TC.LinkVisits += nl
-	th.TC.Contacts += contacts + contactsHalo
-	th.TC.ForceUpdates += taken + avoided
-	th.TC.AtomicsTaken += taken
-	th.TC.AtomicsAvoided += avoided
-	th.TC.LinkIndexDistSum += distSum
-	th.TC.LinkIndexDistN += nl
-	th.Compute(effLinks*costs.PerLink +
-		(float64(contacts)+float64(contactsHalo)*hw)*costs.PerContact +
-		float64(avoided)*costs.PerUpdate +
-		float64(taken)*(costs.PerUpdate+costs.AtomicTaken))
-	fu.epotPer[th.ID] = epot
-}
-
-func (fu *FusedUpdater) apply(th *Thread, locks []int32, shared []bool, frc *geom.Coords, p int32, v geom.Vec, sign float64, d int, taken, avoided *int64) {
-	switch fu.Method {
-	case Atomic:
-		spinAdd(locks, p, frc, v, d, sign)
-		*taken++
-	case SelectedAtomic:
-		if shared[p] {
-			spinAdd(locks, p, frc, v, d, sign)
-			*taken++
-		} else {
-			for k := 0; k < d; k++ {
-				frc[k][p] += sign * v[k]
-			}
-			*avoided++
-		}
-	case Unprotected:
-		for k := 0; k < d; k++ {
-			frc[k][p] += sign * v[k]
-		}
-		*avoided++
-	}
+	tl.bookLocked(th, fu.counts[th.ID])
+	fu.epotPer[th.ID] = tl.epot
 }

@@ -148,19 +148,12 @@ func TestSetCostsUpdatesBarrier(t *testing.T) {
 	}
 }
 
-// buildForceSystem builds a random store with a valid link list
-// including a synthetic halo region.
+// buildForceSystem builds a random periodic store with a valid link
+// list including a synthetic halo region, and a damped spring to run
+// over it.
 func buildForceSystem(seed int64, n, halo, d int) (*particle.Store, *cell.List, geom.Box, force.Spring) {
-	box := geom.NewBox(d, 1.0, geom.Periodic)
-	ps := particle.New(d, n+halo)
-	rng := rand.New(rand.NewSource(seed))
-	particle.FillUniformVel(ps, n+halo, box, 0.3, 0, rng)
-	sp := force.Spring{Diameter: 0.09, K: 40, Damp: 0.5}
-	rc := 0.13
-	g := cell.NewGrid(d, geom.Vec{}, box.Len, rc, true)
-	g.Bin(&ps.Pos, n+halo, nil)
-	list := g.BuildLinks(&ps.Pos, n+halo, n, rc*rc, box, nil)
-	return ps, list, box, sp
+	ps, list, box := diffSystem(seed, n, halo, d, geom.Periodic)
+	return ps, list, box, force.Spring{Diameter: 0.09, K: 40, Damp: 0.5}
 }
 
 // serialReference computes forces and energy with the serial kernel.

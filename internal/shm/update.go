@@ -2,8 +2,6 @@ package shm
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
@@ -159,35 +157,149 @@ func BuildConflictTable(links []cell.Link, nParticles, nCore, T int) *ConflictTa
 // NumShared returns the number of particles needing protection.
 func (ct *ConflictTable) NumShared() int { return ct.nShared }
 
+// lockMask returns what the pair kernel's sink needs to protect the
+// updates of n particles under method m: nil (plain stores) for the
+// methods that take no locks and for a selected-atomic list on which no
+// particle is shared, ct's table where some are, and an all-true mask,
+// grown in *all, for Atomic.
+func lockMask(m Method, ct *ConflictTable, all *[]bool, n int) []bool {
+	switch {
+	case m == SelectedAtomic && ct.nShared > 0:
+		return ct.shared
+	case m == Atomic:
+		for len(*all) < n {
+			*all = append(*all, true)
+		}
+		return (*all)[:n]
+	}
+	return nil
+}
+
+// updateCounts is one thread's tally of the force updates its share
+// of a link list makes — endpoint I of every link, endpoint J when it
+// is a core particle — split by whether the update takes a lock. It is
+// a function of the list and the lock mask alone (every link counts,
+// in contact or not: the virtual clock charges the update slot, as the
+// paper's code executes it), so Prepare counts once per list instead of
+// the force loop once per link per step.
+type updateCounts struct{ taken, avoided int64 }
+
+func (c *updateCounts) count(links []cell.Link, nCore int, mask []bool) {
+	for _, l := range links {
+		if mask != nil && mask[l.I] {
+			c.taken++
+		} else {
+			c.avoided++
+		}
+		if int(l.J) < nCore {
+			if mask != nil && mask[l.J] {
+				c.taken++
+			} else {
+				c.avoided++
+			}
+		}
+	}
+}
+
+// tally is one thread's running totals over the link ranges it walks
+// in one force region.
+type tally struct {
+	epot                   float64
+	links, distSum         int64
+	contacts, contactsHalo int64
+	effLinks               float64 // core links + HaloWork * halo links
+}
+
+// run walks links[lo:hi] of one list through the pair kernel: the core
+// links at full energy, then — once gate, if any, has opened — the
+// halo links at half, both into the one running energy sum. It reports
+// whether it waited on the gate. Core links touch only core particles
+// and the exchange writes only halo storage, so nothing before the
+// wait reads what the exchange is still writing.
+func (tl *tally) run(th *Thread, gate *HaloGate, sp force.Spring, dst *force.Sink, ps *particle.Store, links []cell.Link, lo, hi, nCoreLinks, nCore int, box geom.Box) (waited bool) {
+	mid := min(max(nCoreLinks, lo), hi)
+	var c, dist int64
+	tl.epot, c, dist = sp.AccumulateRange(dst, ps, links[lo:mid], nCore, box, tl.epot, 1)
+	tl.contacts += c
+	tl.distSum += dist
+	if gate != nil && (mid < hi || lo >= nCoreLinks) {
+		gate.Wait(th)
+		waited = true
+	}
+	tl.epot, c, dist = sp.AccumulateRange(dst, ps, links[mid:hi], nCore, box, tl.epot, 0.5)
+	tl.contactsHalo += c
+	tl.distSum += dist
+	tl.links += int64(hi - lo)
+	tl.effLinks += float64(mid-lo) + float64(hi-mid)*th.team.Costs.haloWork()
+	return waited
+}
+
+// book records the walk in the thread's counters and returns the
+// modelled cost of its contacts, the term every method charges alike.
+func (tl *tally) book(th *Thread) (contactCost float64) {
+	costs := &th.team.Costs
+	th.TC.ForceEvals += tl.links
+	th.TC.LinkVisits += tl.links
+	th.TC.Contacts += tl.contacts + tl.contactsHalo
+	th.TC.LinkIndexDistSum += tl.distSum
+	th.TC.LinkIndexDistN += tl.links
+	return (float64(tl.contacts) + float64(tl.contactsHalo)*costs.haloWork()) * costs.PerContact
+}
+
+// bookLocked is book for the per-update protection methods, charging
+// the thread its links, contacts and force updates, locked or not.
+func (tl *tally) bookLocked(th *Thread, c updateCounts) {
+	costs := &th.team.Costs
+	contactCost := tl.book(th)
+	th.TC.ForceUpdates += c.taken + c.avoided
+	th.TC.AtomicsTaken += c.taken
+	th.TC.AtomicsAvoided += c.avoided
+	th.Compute(tl.effLinks*costs.PerLink + contactCost +
+		float64(c.avoided)*costs.PerUpdate +
+		float64(c.taken)*(costs.PerUpdate+costs.AtomicTaken))
+}
+
+// pairHook adapts PairForceHook, if set, to the kernel's sink.
+func pairHook(m Method) func(idI, idJ int32, fi geom.Vec) geom.Vec {
+	hook := PairForceHook
+	if hook == nil {
+		return nil
+	}
+	return func(idI, idJ int32, fi geom.Vec) geom.Vec { return hook(m, idI, idJ, fi) }
+}
+
 // Updater executes the thread-parallel force accumulation for one
-// block with a chosen protection method. It owns the per-particle
-// locks and the reduction scratch, sized lazily to the block.
+// block with a chosen protection method. The pair loop itself is
+// force.Spring.AccumulateRange; the updater owns what is specific to
+// threads: the chunking, the per-particle locks and their mask, the
+// reduction scratch and merges, and the virtual-clock charge.
 type Updater struct {
 	Method Method
-	locks  []int32     // per-particle spinlocks (atomic methods)
-	priv   [][]float64 // T thread-private force arrays, layout [i*D+k]
+	locks  []int32       // per-particle spinlocks (atomic methods)
+	mask   []bool        // which particles the kernel locks; nil = none
+	all    []bool        // all-true backing of the Atomic mask
+	priv   []geom.Coords // T thread-private force arrays (reductions)
 	ct     *ConflictTable
+	counts []updateCounts // per thread, from Prepare
 
 	// Prepared geometry, recorded so Accumulate can detect a
 	// mismatched team or link list instead of racing silently.
 	preparedT     int
 	preparedLinks int
 
-	// Reused per-call scratch and region bodies (no closures on the
-	// hot path).
+	// Reused per-call scratch (no closures on the hot path).
 	epotPer []float64
 	args    accArgs
-	scalarB scalarBody
-	reduceB reduceBody
 }
 
 // NewUpdater returns an updater for the given method.
 func NewUpdater(m Method) *Updater { return &Updater{Method: m} }
 
 // Prepare must be called whenever the link list changes: it (re)builds
-// the conflict table for the selected-atomic method and resizes the
-// lock array. T is the team size the force loop will use; Accumulate
-// panics if run with a different team size or link count.
+// the conflict table for the selected-atomic method, resizes the lock
+// array and counts each thread's locked and unlocked updates. T is the
+// team size the force loop will use; Accumulate panics if run with a
+// different team size or link count.
 func (u *Updater) Prepare(links []cell.Link, nParticles, nCore, T int) {
 	if cap(u.locks) < nParticles {
 		u.locks = make([]int32, nParticles)
@@ -196,7 +308,7 @@ func (u *Updater) Prepare(links []cell.Link, nParticles, nCore, T int) {
 	// Zero the reused prefix unconditionally: if a prior region was
 	// abandoned (clockBarrier.abort after a sibling panic) while some
 	// thread held a per-particle spinlock, the stale lock word would
-	// deadlock the first lockAdd of the next run.
+	// deadlock the first locked add of the next run.
 	for i := range u.locks {
 		u.locks[i] = 0
 	}
@@ -206,52 +318,52 @@ func (u *Updater) Prepare(links []cell.Link, nParticles, nCore, T int) {
 		}
 		u.ct.rebuild(links, nParticles, nCore, T)
 	}
+	u.mask = lockMask(u.Method, u.ct, &u.all, nParticles)
 	u.preparedT = T
 	u.preparedLinks = len(links)
 	if cap(u.epotPer) < T {
 		u.epotPer = make([]float64, T)
+		u.counts = make([]updateCounts, T)
 	}
 	u.epotPer = u.epotPer[:T]
+	u.counts = u.counts[:T]
+	for t := range u.counts {
+		lo, hi := chunk(len(links), T, t)
+		u.counts[t] = updateCounts{}
+		u.counts[t].count(links[lo:hi], nCore, u.mask)
+	}
 }
 
 // Conflicts returns the conflict table built by the last Prepare, or
 // nil for methods that do not use one.
 func (u *Updater) Conflicts() *ConflictTable { return u.ct }
 
-// lockAdd accumulates v into column p of the component-major dst
-// under the per-particle spinlock.
-func (u *Updater) lockAdd(p int32, dst *geom.Coords, v geom.Vec, d int, sign float64) {
-	for !atomic.CompareAndSwapInt32(&u.locks[p], 0, 1) {
-		runtime.Gosched()
-	}
-	for k := 0; k < d; k++ {
-		dst[k][p] += sign * v[k]
-	}
-	atomic.StoreInt32(&u.locks[p], 0)
-}
-
-// ensurePriv sizes and zeroes the T private arrays of d*n floats each
-// and returns them. The zeroing traffic is charged to the threads by
-// the reduction kernels; "all array reduction techniques place a heavy
-// demand on the memory system".
-func (u *Updater) ensurePriv(T, words int) [][]float64 {
-	if len(u.priv) < T {
-		u.priv = append(u.priv, make([][]float64, T-len(u.priv))...)
+// ensurePriv sizes and zeroes the T private force arrays of d
+// components by n particles and returns them. The zeroing traffic is
+// charged to the threads by the reduction kernels; "all array
+// reduction techniques place a heavy demand on the memory system".
+func (u *Updater) ensurePriv(T, n, d int) []geom.Coords {
+	for len(u.priv) < T {
+		u.priv = append(u.priv, geom.Coords{})
 	}
 	for t := 0; t < T; t++ {
-		if cap(u.priv[t]) < words {
-			u.priv[t] = make([]float64, words)
-		} else {
-			u.priv[t] = u.priv[t][:words]
-			for i := range u.priv[t] {
-				u.priv[t][i] = 0
+		for k := 0; k < d; k++ {
+			c := u.priv[t][k]
+			if cap(c) < n {
+				c = make([]float64, n)
+			} else {
+				c = c[:n]
+				for i := range c {
+					c[i] = 0
+				}
 			}
+			u.priv[t][k] = c
 		}
 	}
 	return u.priv[:T]
 }
 
-// accArgs carries one Accumulate call's inputs to the region bodies.
+// accArgs carries one Accumulate call's inputs to the region body.
 type accArgs struct {
 	sp         force.Spring
 	ps         *particle.Store
@@ -259,28 +371,16 @@ type accArgs struct {
 	nCoreLinks int
 	nCore      int
 	box        geom.Box
-	hook       func(m Method, idI, idJ int32, fi geom.Vec) geom.Vec
-	priv       [][]float64
-	words      int
+	sink       force.Sink    // into ps.Frc; the reductions swap Frc per thread
+	priv       []geom.Coords // nil for the per-update protection methods
 
 	// gate, when non-nil, blocks each thread at the core/halo link
 	// boundary of its chunk until the rank's split-phase halo exchange
 	// has landed (overlapped force path). Iteration order is unchanged:
-	// the gate is a pause inside the same single loop, so the conflict
-	// table and the accumulation order stay valid.
+	// the gate is a pause between the chunk's core range and its halo
+	// range, so the conflict table and the accumulation order stay valid.
 	gate *HaloGate
 }
-
-// scalarBody runs the per-update protection methods (atomic,
-// selected-atomic, unprotected) for one thread.
-type scalarBody struct{ u *Updater }
-
-func (b *scalarBody) RunThread(th *Thread) { b.u.scalarThread(th) }
-
-// reduceBody runs the array-reduction methods for one thread.
-type reduceBody struct{ u *Updater }
-
-func (b *reduceBody) RunThread(th *Thread) { b.u.reduceThread(th) }
 
 // Accumulate runs the parallel force loop over the block's single
 // link list (core links first, then halo links whose energy counts
@@ -294,8 +394,9 @@ func (b *reduceBody) RunThread(th *Thread) { b.u.reduceThread(th) }
 // over threads and invalidate the table, which is why Accumulate
 // panics when the team size or link count differs from Prepare's.
 func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box) float64 {
-	tm.RunRegion(u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, nil))
-	return u.sumEpot()
+	u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, nil)
+	tm.RunRegion(u)
+	return sumEpot(u.epotPer)
 }
 
 // AccumulateStart dispatches the force region to the worker threads
@@ -305,7 +406,8 @@ func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, link
 // block on gate until the caller opens it; the caller then completes
 // the region with AccumulateFinish.
 func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
-	tm.StartRegion(u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, gate))
+	u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, gate)
+	tm.StartRegion(u)
 }
 
 // AccumulateFinish runs the master's share of a region begun with
@@ -313,12 +415,12 @@ func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, ps *particle.Store,
 // timeline — joins the team, and returns the potential energy.
 func (u *Updater) AccumulateFinish(tm *Team, masterAt float64) float64 {
 	tm.FinishRegion(masterAt)
-	return u.sumEpot()
+	return sumEpot(u.epotPer)
 }
 
-// setupRegion validates the call against Prepare, stores the region
-// inputs, and returns the reused body for the updater's method.
-func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) RegionBody {
+// setupRegion validates the call against Prepare and stores the
+// region inputs.
+func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
 	if tm.T != u.preparedT || len(links) != u.preparedLinks {
 		panic(fmt.Sprintf("shm: updater prepared for T=%d over %d links, run with T=%d over %d links",
 			u.preparedT, u.preparedLinks, tm.T, len(links)))
@@ -330,226 +432,78 @@ func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, lin
 		nCoreLinks: nCoreLinks,
 		nCore:      nCore,
 		box:        box,
-		hook:       PairForceHook,
+		sink:       force.Sink{Frc: &ps.Frc, Shared: u.mask, Locks: u.locks, Hook: pairHook(u.Method)},
 		gate:       gate,
 	}
-
 	switch u.Method {
 	case Atomic, SelectedAtomic, Unprotected:
-		u.scalarB.u = u
-		return &u.scalarB
-
 	case CriticalReduction, Stripe, Transpose:
-		u.args.words = ps.Len() * ps.D
-		u.args.priv = u.ensurePriv(tm.T, u.args.words)
-		u.reduceB.u = u
-		return &u.reduceB
-
+		u.args.priv = u.ensurePriv(tm.T, ps.Len(), ps.D)
 	default:
 		panic(fmt.Sprintf("shm: unknown update method %v", u.Method))
 	}
 }
 
 // sumEpot folds the per-thread potential-energy partials.
-func (u *Updater) sumEpot() float64 {
+func sumEpot(per []float64) float64 {
 	epot := 0.0
-	for _, e := range u.epotPer {
+	for _, e := range per {
 		epot += e
 	}
 	return epot
 }
 
-// scalarThread is one thread's share of the per-update protection
-// methods.
-func (u *Updater) scalarThread(th *Thread) {
+// RunThread is one thread's share of the force region: its static
+// chunk of the list through the pair kernel — into the block's force
+// array under the method's lock mask, or into the thread's private
+// array followed by the method's merge.
+func (u *Updater) RunThread(th *Thread) {
 	a := &u.args
-	tm := th.team
-	costs := tm.Costs
-	d := a.ps.D
-	n := len(a.links)
-	lo, hi := chunk(n, tm.T, th.ID)
-	epot := 0.0
-	var taken, avoided, distSum, contacts, contactsHalo int64
-	pos, vel, frc, ids := &a.ps.Pos, &a.ps.Vel, &a.ps.Frc, a.ps.ID
-	gate := a.gate
-	if gate != nil && lo >= a.nCoreLinks {
-		gate.Wait(th)
-		gate = nil
+	lo, hi := chunk(len(a.links), th.team.T, th.ID)
+	sink := a.sink
+	if a.priv != nil {
+		sink.Frc = &a.priv[th.ID]
 	}
-	for li := lo; li < hi; li++ {
-		if gate != nil && li == a.nCoreLinks {
-			gate.Wait(th)
-			gate = nil
-		}
-		l := a.links[li]
-		disp := a.box.DispAt(pos, l.I, l.J)
-		rel := geom.SubAt(vel, l.J, l.I, d)
-		fi, e, contact := a.sp.PairID(ids[l.I], ids[l.J], disp, rel, d)
-		if a.hook != nil {
-			fi = a.hook(u.Method, ids[l.I], ids[l.J], fi)
-		}
-		if li < a.nCoreLinks {
-			if contact {
-				contacts++
-			}
-			epot += e
-		} else {
-			if contact {
-				contactsHalo++
-			}
-			epot += 0.5 * e
-		}
-		u.applyProtected(th, frc, l.I, fi, +1, d, &taken, &avoided)
-		if int(l.J) < a.nCore {
-			u.applyProtected(th, frc, l.J, fi, -1, d, &taken, &avoided)
-		}
-		di := int64(l.I) - int64(l.J)
-		if di < 0 {
-			di = -di
-		}
-		distSum += di
+	var tl tally
+	tl.run(th, a.gate, a.sp, &sink, a.ps, a.links, lo, hi, a.nCoreLinks, a.nCore, a.box)
+	u.epotPer[th.ID] = tl.epot
+	if a.priv == nil {
+		tl.bookLocked(th, u.counts[th.ID])
+		return
 	}
-	nl := int64(hi - lo)
-	coreN, haloN := splitLinks(lo, hi, a.nCoreLinks)
-	hw := costs.haloWork()
-	th.TC.ForceEvals += nl
-	th.TC.LinkVisits += nl
-	th.TC.Contacts += contacts + contactsHalo
-	th.TC.ForceUpdates += taken + avoided
-	th.TC.AtomicsTaken += taken
-	th.TC.AtomicsAvoided += avoided
-	th.TC.LinkIndexDistSum += distSum
-	th.TC.LinkIndexDistN += nl
-	th.Compute((float64(coreN)+float64(haloN)*hw)*costs.PerLink +
-		(float64(contacts)+float64(contactsHalo)*hw)*costs.PerContact +
-		float64(avoided)*costs.PerUpdate +
-		float64(taken)*(costs.PerUpdate+costs.AtomicTaken))
-	u.epotPer[th.ID] = epot
-}
-
-// reduceThread is one thread's share of the array-reduction methods:
-// private accumulation followed by the method's merge.
-func (u *Updater) reduceThread(th *Thread) {
-	a := &u.args
-	tm := th.team
-	costs := tm.Costs
-	d := a.ps.D
-	n := len(a.links)
-	lo, hi := chunk(n, tm.T, th.ID)
-	epot := 0.0
-	var distSum, contacts, contactsHalo int64
-	pos, vel, ids := &a.ps.Pos, &a.ps.Vel, a.ps.ID
-	mine := a.priv[th.ID]
-	gate := a.gate
-	if gate != nil && lo >= a.nCoreLinks {
-		gate.Wait(th)
-		gate = nil
-	}
-	for li := lo; li < hi; li++ {
-		if gate != nil && li == a.nCoreLinks {
-			gate.Wait(th)
-			gate = nil
-		}
-		l := a.links[li]
-		disp := a.box.DispAt(pos, l.I, l.J)
-		rel := geom.SubAt(vel, l.J, l.I, d)
-		fi, e, contact := a.sp.PairID(ids[l.I], ids[l.J], disp, rel, d)
-		if a.hook != nil {
-			fi = a.hook(u.Method, ids[l.I], ids[l.J], fi)
-		}
-		if li < a.nCoreLinks {
-			if contact {
-				contacts++
-			}
-			epot += e
-		} else {
-			if contact {
-				contactsHalo++
-			}
-			epot += 0.5 * e
-		}
-		for k := 0; k < d; k++ {
-			mine[int(l.I)*d+k] += fi[k]
-		}
-		if int(l.J) < a.nCore {
-			for k := 0; k < d; k++ {
-				mine[int(l.J)*d+k] -= fi[k]
-			}
-		}
-		di := int64(l.I) - int64(l.J)
-		if di < 0 {
-			di = -di
-		}
-		distSum += di
-	}
-	nl := int64(hi - lo)
-	coreN, haloN := splitLinks(lo, hi, a.nCoreLinks)
-	hw := costs.haloWork()
-	effLinks := float64(coreN) + float64(haloN)*hw
-	th.TC.ForceEvals += nl
-	th.TC.LinkVisits += nl
-	th.TC.Contacts += contacts + contactsHalo
-	th.TC.ForceUpdates += 2 * nl
-	th.TC.LinkIndexDistSum += distSum
-	th.TC.LinkIndexDistN += nl
 	// Private accumulation plus the zeroing traffic of the scratch
-	// array.
-	th.Compute(effLinks*(costs.PerLink+2*costs.PerUpdate) +
-		(float64(contacts)+float64(contactsHalo)*hw)*costs.PerContact +
-		float64(a.words)*costs.ReductionWord)
-	u.epotPer[th.ID] = epot
-
-	u.reduce(th, tm, a.ps, a.words, d, a.priv)
+	// array, then the merge.
+	costs := &th.team.Costs
+	words := a.ps.Len() * a.ps.D
+	contactCost := tl.book(th)
+	th.TC.ForceUpdates += 2 * tl.links
+	th.Compute(tl.effLinks*(costs.PerLink+2*costs.PerUpdate) + contactCost +
+		float64(words)*costs.ReductionWord)
+	u.reduce(th, &a.ps.Frc, words, a.ps.D)
 }
 
-// splitLinks returns how many of the links in [lo, hi) fall before
-// the core/halo boundary at nCoreLinks.
-func splitLinks(lo, hi, nCoreLinks int) (core, halo int64) {
-	c := nCoreLinks - lo
-	if c < 0 {
-		c = 0
-	}
-	if c > hi-lo {
-		c = hi - lo
-	}
-	return int64(c), int64(hi - lo - c)
-}
-
-// applyProtected performs one force accumulation under the updater's
-// protection policy.
-func (u *Updater) applyProtected(th *Thread, frc *geom.Coords, p int32, v geom.Vec, sign float64, d int, taken, avoided *int64) {
-	switch u.Method {
-	case Atomic:
-		u.lockAdd(p, frc, v, d, sign)
-		*taken++
-	case SelectedAtomic:
-		if u.ct.shared[p] {
-			u.lockAdd(p, frc, v, d, sign)
-			*taken++
-		} else {
-			for k := 0; k < d; k++ {
-				frc[k][p] += sign * v[k]
-			}
-			*avoided++
+// mergeWords adds words [lo, hi) of a private array into frc. Words
+// are numbered particle-major (word i is component i%d of particle
+// i/d) although the storage is component-major: the stripe and
+// transpose schedules deal words to threads and rounds by that index,
+// so it fixes the order in which each element receives its per-thread
+// contributions, and with it the bits of the sum.
+func mergeWords(frc, mine *geom.Coords, lo, hi, d int) {
+	p, k := lo/d, lo%d
+	for i := lo; i < hi; i++ {
+		frc[k][p] += mine[k][p]
+		if k++; k == d {
+			p, k = p+1, 0
 		}
-	case Unprotected:
-		for k := 0; k < d; k++ {
-			frc[k][p] += sign * v[k]
-		}
-		*avoided++
 	}
 }
 
-// reduce merges the thread-private arrays into ps.Frc according to the
+// reduce merges the thread-private arrays into frc according to the
 // method. Called from within the region by every thread; contains the
 // barriers each strategy needs.
-// The private arrays keep their particle-major [i*d+k] word layout:
-// the stripe and transpose schedules assign words to threads and
-// rounds by word index, so changing the layout would reorder each
-// element's per-thread contributions and move bits. Only the final
-// destination changes: word i lands in component i%d of particle i/d.
-func (u *Updater) reduce(th *Thread, tm *Team, ps *particle.Store, words, d int, priv [][]float64) {
-	frc := &ps.Frc
+func (u *Updater) reduce(th *Thread, frc *geom.Coords, words, d int) {
+	tm := th.team
+	priv := u.args.priv
 	switch u.Method {
 	case CriticalReduction:
 		// Threads serialise on the critical section; the virtual
@@ -560,10 +514,7 @@ func (u *Updater) reduce(th *Thread, tm *Team, ps *particle.Store, words, d int,
 		// tm.Critical) so the hot path needs no closure.
 		th.Barrier() // all private arrays complete
 		tm.mu.Lock()
-		mine := priv[th.ID]
-		for i := 0; i < words; i++ {
-			frc[i%d][i/d] += mine[i]
-		}
+		mergeWords(frc, &priv[th.ID], 0, words, d)
 		tm.mu.Unlock()
 		th.Compute(tm.Costs.Critical)
 		th.TC.CriticalEnters++
@@ -577,13 +528,9 @@ func (u *Updater) reduce(th *Thread, tm *Team, ps *particle.Store, words, d int,
 		// array; a barrier separates rounds.
 		th.Barrier()
 		T := tm.T
-		mine := priv[th.ID]
 		for r := 0; r < T; r++ {
-			s := (th.ID + r) % T
-			lo, hi := chunk(words, T, s)
-			for i := lo; i < hi; i++ {
-				frc[i%d][i/d] += mine[i]
-			}
+			lo, hi := chunk(words, T, (th.ID+r)%T)
+			mergeWords(frc, &priv[th.ID], lo, hi, d)
 			th.TC.ReductionWords += int64(hi - lo)
 			th.Compute(float64(hi-lo) * tm.Costs.ReductionWord)
 			th.Barrier()
@@ -595,10 +542,7 @@ func (u *Updater) reduce(th *Thread, tm *Team, ps *particle.Store, words, d int,
 		th.Barrier()
 		lo, hi := chunk(words, tm.T, th.ID)
 		for t := 0; t < tm.T; t++ {
-			mine := priv[t]
-			for i := lo; i < hi; i++ {
-				frc[i%d][i/d] += mine[i]
-			}
+			mergeWords(frc, &priv[t], lo, hi, d)
 		}
 		th.TC.ReductionWords += int64((hi - lo) * tm.T)
 		th.Compute(float64((hi-lo)*tm.T) * tm.Costs.ReductionWord)
