@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -143,5 +144,43 @@ func TestRunBadChaosKillExitsTwo(t *testing.T) {
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("-chaos-kill %q: exit %d, want 2", kill, code)
 		}
+	}
+}
+
+// TestRunChunkedIsOneRun: a -checkpoint-every run is one session, not
+// a chain of runs. Its summary covers all of it (no chunk is reported
+// as "restored"), and since checkpoint boundaries sit on absolute
+// multiples of the cadence, a run interrupted at 4 and resumed with
+// -load revisits the boundary at 6 the unbroken run does and writes
+// the same final checkpoint, byte for byte.
+func TestRunChunkedIsOneRun(t *testing.T) {
+	dir := t.TempDir()
+	unbroken, resumed := filepath.Join(dir, "unbroken.ck"), filepath.Join(dir, "resumed.ck")
+	runOK := func(args ...string) string {
+		t.Helper()
+		var out, errb bytes.Buffer
+		args = append([]string{"-d", "2", "-n", "300", "-warmup", "1", "-vel", "1", "-checkpoint-every", "3"}, args...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		}
+		return out.String()
+	}
+	if out := runOK("-iters", "8", "-save", unbroken); !strings.Contains(out, "iterations      8 measured after 1 warm-up") {
+		t.Errorf("chunked run does not report its 8 iterations as one run:\n%s", out)
+	}
+	runOK("-iters", "4", "-save", resumed)
+	if out := runOK("-iters", "8", "-load", resumed, "-save", resumed); !strings.Contains(out, "8 cumulative (4 restored + 4 new)") {
+		t.Errorf("resumed chunked run does not report 4 restored + 4 new:\n%s", out)
+	}
+	want, err := os.ReadFile(unbroken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Error("interrupted-and-resumed chunked run wrote a different final checkpoint than the unbroken one")
 	}
 }

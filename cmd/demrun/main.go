@@ -41,7 +41,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -66,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t        = fs.Int("t", 1, "threads per rank")
 		bpp      = fs.Int("bpp", 1, "blocks per process (granularity B/P)")
 		rc       = fs.Float64("rc", 1.5, "cutoff factor rc/rmax")
-		method   = fs.String("method", "selected-atomic", "atomic | selected-atomic | critical-reduction | stripe | transpose")
+		method   = fs.String("method", "selected-atomic", strings.Join(hybriddem.MethodNames(), " | "))
 		fused    = fs.Bool("fused", false, "fuse the hybrid force loop into one region (Section 11)")
 		rebal    hybriddem.StrategyFlag
 		platform = fs.String("platform", "CPQ", "virtual platform: Sun | T3E | CPQ | none")
@@ -151,19 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Mode = m
 
-	switch strings.ToLower(*method) {
-	case "atomic":
-		cfg.Method = hybriddem.Atomic
-	case "selected-atomic":
-		cfg.Method = hybriddem.SelectedAtomic
-	case "critical-reduction":
-		cfg.Method = hybriddem.CriticalReduction
-	case "stripe":
-		cfg.Method = hybriddem.Stripe
-	case "transpose":
-		cfg.Method = hybriddem.Transpose
-	default:
-		fmt.Fprintf(stderr, "demrun: unknown method %q\n", *method)
+	if cfg.Method, err = hybriddem.MethodByName(*method); err != nil {
+		fmt.Fprintln(stderr, "demrun:", err)
 		return 2
 	}
 
@@ -184,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plan.DelayWall = *cDelay
 		plan.MaxFaults = *cMax
 		if *cKill != "" {
-			rank, step, err := parseKill(*cKill)
+			rank, step, err := hybriddem.ParseKill(*cKill)
 			if err != nil {
 				fmt.Fprintln(stderr, "demrun:", err)
 				return 2
@@ -246,7 +234,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// warm-up, so a resume must not warm up again — extra unmeasured
 	// steps would silently advance the physics past the requested total.
 	done := 0
-	runIters := *iters
 	if *load != "" {
 		snap, err := hybriddem.LoadCheckpoint(*load, &cfg)
 		if err != nil {
@@ -254,8 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		done = snap.Iters
-		runIters = *iters - done
-		if runIters <= 0 {
+		if *iters <= done {
 			fmt.Fprintf(stderr, "demrun: checkpoint %s already holds %d iterations; -iters %d leaves nothing to run\n",
 				*load, done, *iters)
 			return 2
@@ -263,12 +249,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Warmup = 0
 	}
 
-	runSim := func(c hybriddem.Config, n int) (*hybriddem.Result, error) {
-		if *supv {
-			return hybriddem.Supervise(c, n, hybriddem.FTConfig{SnapshotEvery: *snapEv, MaxRetries: *maxRetry})
-		}
-		return hybriddem.Run(c, n)
-	}
 	// Unrecoverable faults — a detected kill, corruption or timeout
 	// with no supervisor, or one that survived every retry — exit 3 so
 	// scripts can tell them from plain configuration errors (1).
@@ -280,57 +260,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var res *hybriddem.Result
-	interrupted := false
-	restored := done
-	if *ckEvery > 0 {
-		// Periodic on-disk checkpointing: run in chunks of N measured
-		// iterations, checkpointing (atomically) after each, chaining
-		// the state so the pieces reproduce one unbroken run. An
-		// interrupted chunk still checkpoints its completed iterations.
-		for left := runIters; left > 0; {
-			chunk := *ckEvery
-			if chunk > left {
-				chunk = left
-			}
-			r, err := runSim(cfg, chunk)
-			if err != nil && !errors.Is(err, hybriddem.ErrCanceled) {
-				return fail(err)
-			}
-			done += r.Iters
-			left -= r.Iters
-			if err := hybriddem.SaveCheckpoint(*save, &cfg, r, done); err != nil {
-				fmt.Fprintln(stderr, "demrun:", err)
-				return 1
-			}
-			cfg.Init = &hybriddem.State{Pos: r.Pos, Vel: r.Vel}
-			cfg.Warmup = 0
-			res = r
-			if errors.Is(err, hybriddem.ErrCanceled) {
-				interrupted = true
-				break
-			}
-		}
-		done -= res.Iters // reporting: earlier chunks count as restored
-		fmt.Fprintf(stdout, "checkpoint     %s (every %d iterations)\n", *save, *ckEvery)
+	// One live session for the whole run; -save checkpoints it at the
+	// end (an interrupted run, at what it completed) and, atomically and
+	// in place, at every absolute multiple of -checkpoint-every on the way.
+	var sim *hybriddem.Sim
+	if *supv {
+		sim, err = hybriddem.OpenSupervised(cfg, hybriddem.FTConfig{SnapshotEvery: *snapEv, MaxRetries: *maxRetry})
 	} else {
-		r, err := runSim(cfg, runIters)
-		if err != nil && !errors.Is(err, hybriddem.ErrCanceled) {
-			return fail(err)
-		}
-		interrupted = errors.Is(err, hybriddem.ErrCanceled)
-		res = r
-		if *save != "" {
-			if err := hybriddem.SaveCheckpoint(*save, &cfg, res, done+res.Iters); err != nil {
-				fmt.Fprintln(stderr, "demrun:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "checkpoint     %s\n", *save)
+		sim, err = hybriddem.Open(cfg)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	defer sim.Close()
+	var saveAt func(*hybriddem.Result, int) error
+	if *save != "" {
+		saveAt = func(snap *hybriddem.Result, done int) error {
+			return hybriddem.SaveCheckpoint(*save, &cfg, snap, done)
 		}
 	}
+	_, err = sim.AdvanceTo(done, *iters, *ckEvery, saveAt)
+	interrupted := errors.Is(err, hybriddem.ErrCanceled)
+	if err != nil && !interrupted {
+		return fail(err)
+	}
+	res := sim.Result()
+	switch {
+	case *ckEvery > 0:
+		fmt.Fprintf(stdout, "checkpoint     %s (every %d iterations)\n", *save, *ckEvery)
+	case *save != "":
+		fmt.Fprintf(stdout, "checkpoint     %s\n", *save)
+	}
 	if interrupted {
-		fmt.Fprintf(stdout, "interrupted     stopped after %d of %d measured iterations\n",
-			done+res.Iters-restored, runIters)
+		fmt.Fprintf(stdout, "interrupted     stopped after %d of %d measured iterations\n", res.Iters, *iters-done)
 	}
 	if *export != "" {
 		if err := hybriddem.ExportState(*export, &cfg, res); err != nil {
@@ -376,19 +338,3 @@ func run(args []string, stdout, stderr io.Writer) int {
 // handler is installed — the synchronisation point after which a
 // test-sent SIGINT is guaranteed to reach the stop hook.
 var testInterruptArmed chan struct{}
-
-// parseKill parses the -chaos-kill argument "rank@step".
-func parseKill(s string) (rank, step int, err error) {
-	at := strings.IndexByte(s, '@')
-	if at < 0 {
-		return 0, 0, fmt.Errorf("-chaos-kill %q: want rank@step", s)
-	}
-	rank, err = strconv.Atoi(s[:at])
-	if err == nil {
-		step, err = strconv.Atoi(s[at+1:])
-	}
-	if err != nil || rank < 0 || step < 0 {
-		return 0, 0, fmt.Errorf("-chaos-kill %q: want nonnegative rank@step", s)
-	}
-	return rank, step, nil
-}

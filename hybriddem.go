@@ -123,6 +123,11 @@ const (
 	Transpose         = shm.Transpose
 )
 
+// MethodByName resolves a command-line method name (case-insensitive);
+// the error lists the valid names, which MethodNames returns.
+func MethodByName(name string) (Method, error) { return shm.MethodByName(name) }
+func MethodNames() []string                    { return shm.MethodNames() }
+
 // Boundary selects the global boundary condition.
 type Boundary = geom.Boundary
 
@@ -161,6 +166,14 @@ func Default(d, n int) Config { return core.Default(d, n) }
 // Run executes a simulation for the configured warmup plus iters
 // measured iterations and returns its measurements.
 func Run(cfg Config, iters int) (*Result, error) { return core.Run(cfg, iters) }
+
+// Sim is a live session: Open, Advance in pieces, Result or a resumable
+// Snapshot in between, Close; ranks, teams, grids and buffers stay up.
+// Sim.AdvanceTo is the checkpointing loop of demrun and demd.
+type Sim = core.Sim
+
+// Open sets a simulation up and returns the live session.
+func Open(cfg Config) (*Sim, error) { return core.Open(cfg) }
 
 // ErrCanceled is the error Run and Supervise return when Config.Stop
 // asked the run to stop at a step boundary. It arrives alongside a
@@ -346,6 +359,9 @@ type FaultStats = mp.FaultStats
 // set the probability fields and ArmKill to arm it.
 func NewFaultPlan(seed int64) *FaultPlan { return mp.NewFaultPlan(seed) }
 
+// ParseKill parses "rank@step", FaultPlan.ArmKill's arguments.
+func ParseKill(s string) (rank, step int, err error) { return mp.ParseKill(s) }
+
 // FaultError is the typed error every detected fault surfaces as:
 // killed ranks, corrupted or out-of-sequence messages, watchdog
 // timeouts, abandoned collectives.
@@ -372,6 +388,9 @@ type FTConfig = core.FTConfig
 func Supervise(cfg Config, iters int, ft FTConfig) (*Result, error) {
 	return core.Supervise(cfg, iters, ft)
 }
+
+// OpenSupervised is Open under that supervision, in every Advance.
+func OpenSupervised(cfg Config, ft FTConfig) (*Sim, error) { return core.OpenSupervised(cfg, ft) }
 
 // Experiment regenerates one of the paper's tables or figures.
 type Experiment = bench.Experiment

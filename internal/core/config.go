@@ -92,32 +92,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// distributedNames lists the command-line names of the modes
-// RunDistributed and Supervise accept, derived from the same name
-// table as flag parsing so rejection messages and -mode help text
-// always agree.
-func distributedNames() string {
-	var ns []string
-	for _, e := range modeNames {
-		switch e.mode {
-		case MPI, Hybrid, MPIsm:
-			ns = append(ns, e.name)
-		}
-	}
-	return strings.Join(ns, " | ")
-}
-
-// sharedNames is distributedNames for RunShared's modes.
-func sharedNames() string {
-	var ns []string
-	for _, e := range modeNames {
-		switch e.mode {
-		case Serial, OpenMP:
-			ns = append(ns, e.name)
-		}
-	}
-	return strings.Join(ns, " | ")
-}
+// Distributed reports whether the mode runs on message-passing ranks.
+func (m Mode) Distributed() bool { return m == MPI || m == Hybrid || m == MPIsm }
 
 // ErrCanceled reports that a run stopped early because Config.Stop
 // asked it to. The run is not lost: the Result returned alongside the
@@ -217,28 +193,24 @@ type Config struct {
 	// returns true the request is latched and the run stops at the next
 	// step that ends in a list rebuild, returning its partial Result
 	// together with ErrCanceled instead of tearing the process down and
-	// losing everything since the last on-disk checkpoint. Rebuild
-	// boundaries are the canonical states — fresh link list, reference
-	// positions just reset, store reordered — which is what lets a
-	// checkpoint taken from the partial Result resume bit-identically
-	// to an uninterrupted run (the same invariant Supervise exploits by
-	// snapshotting only at rebuilds). One caveat: in the shared modes
-	// the cache reordering makes the within-cell storage order depend
-	// on the order before the rebuild, which a fresh setup cannot
-	// reproduce — bit-exact resume in Serial/OpenMP therefore also
-	// needs Reorder off; the distributed modes canonicalise particle
-	// order during migration and are exact regardless. A system too
-	// settled to rebuild
-	// still honours the request after at most stopGrace further steps,
-	// trading that bit-exactness (the resumed trajectory then agrees to
-	// integration tolerance, not bitwise) for bounded latency. In the
-	// distributed modes rank 0 polls the hook and the decision is
-	// agreed through a one-element allreduce, so every rank leaves the
-	// step loop at the same iteration and the final gather/collectives
-	// stay aligned; the hook must therefore be cheap (typically an
-	// atomic-flag load) — it runs once per measured iteration. Warm-up
-	// iterations are not interruptible, because a resume skips the
-	// warm-up and a partial one could not be replayed bit-identically.
+	// losing everything since the last on-disk checkpoint. At a rebuild
+	// boundary the link list is fresh and the reference positions just
+	// reset, so a run resumed from a checkpoint of it keeps the rebuild
+	// cadence. The guarantee (DESIGN §15): interrupt + resume is
+	// bit-identical, in every mode and with Reorder on, to a session that
+	// takes a Snapshot at that iteration and continues in place — the
+	// contract demd's chunked jobs rest on. Against a run that never
+	// stopped it is bit-identical in Serial/OpenMP with Reorder off, and
+	// otherwise only where the order particles are stored in (no mode
+	// canonicalises it on its own; a resume resets it to ID order) stays
+	// out of the last bit of every force sum: on sparse 2-D systems, not
+	// on dense 3-D beds. A system too settled to rebuild still honours
+	// the request after at most stopGrace further steps (or, under
+	// Sim.AdvanceTo, at the next checkpoint boundary). In the distributed
+	// modes rank 0 polls the hook and the verdict is agreed through a
+	// one-element allreduce, so the hook must be cheap (typically an
+	// atomic-flag load). Warm-up iterations are not interruptible: a
+	// resume skips the warm-up, so a partial one could not be replayed.
 	Stop func() bool
 
 	// OnStep, when non-nil, receives the step index and the globally
@@ -566,7 +538,8 @@ type Result struct {
 	// and the warm-up (in the distributed modes after the barrier that
 	// follows them, on rank 0) and stops after the last measured step,
 	// before results are gathered and ranks or teams torn down. Probe,
-	// OnStep and Stop hooks run inside the loop and are included.
+	// OnStep and Stop hooks run inside the loop and are included, as is a
+	// Sim's reordering after a Snapshot; a session sums its Advances.
 	Wall time.Duration
 
 	// Phase breakdown of PerIter (rank-0 attribution). CommTime is the

@@ -41,7 +41,7 @@ func grainConfig(t *testing.T, d int, shape grain.Shape, grains int) Config {
 func TestGrainsStayIntact(t *testing.T) {
 	for _, shape := range []grain.Shape{grain.Dimer, grain.Trimer, grain.Tetra} {
 		cfg := grainConfig(t, 2, shape, 30)
-		res, err := RunShared(cfg, 400)
+		res, err := Run(cfg, 400)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestGrainsStayIntact(t *testing.T) {
 func TestGrainsMatchAcrossModes(t *testing.T) {
 	const iters = 120
 	serialCfg := grainConfig(t, 2, grain.Trimer, 40)
-	serial, err := RunShared(serialCfg, iters)
+	serial, err := Run(serialCfg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,7 @@ func TestGrainsMatchAcrossModes(t *testing.T) {
 		cfg.P, cfg.T = m.p, m.t
 		cfg.BlocksPerProc = 2
 		cfg.Method = shm.SelectedAtomic
-		var res *Result
-		if m.mode == OpenMP {
-			res, err = RunShared(cfg, iters)
-		} else {
-			res, err = RunDistributed(cfg, iters)
-		}
+		res, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatalf("%v: %v", m.mode, err)
 		}
@@ -102,11 +97,11 @@ func TestGrainEnergyDissipates(t *testing.T) {
 	elastic.Spring.Bonds.Damp = 0
 
 	const iters = 500
-	dres, err := RunShared(damped, iters)
+	dres, err := Run(damped, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := RunShared(elastic, iters)
+	eres, err := Run(elastic, iters)
 	if err != nil {
 		t.Fatal(err)
 	}

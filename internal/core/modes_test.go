@@ -20,7 +20,7 @@ func TestDampedHybridMatchesSerial(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		cfg := testConfig(d, 250)
 		cfg.Spring.Damp = 1.5
-		serial, err := RunShared(cfg, iters)
+		serial, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestDampedHybridMatchesSerial(t *testing.T) {
 				cfg.T = 2
 			}
 			cfg.BlocksPerProc = 2
-			res, err := RunDistributed(cfg, iters)
+			res, err := Run(cfg, iters)
 			if err != nil {
 				t.Fatalf("D=%d %v: %v", d, mode, err)
 			}
@@ -50,7 +50,7 @@ func TestHertzContactAcrossModes(t *testing.T) {
 	const iters = 80
 	cfg := testConfig(2, 250)
 	cfg.Spring.Hertz = true
-	serial, err := RunShared(cfg, iters)
+	serial, err := Run(cfg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestHertzContactAcrossModes(t *testing.T) {
 func TestDampedEnergyDecays(t *testing.T) {
 	cfg := testConfig(2, 300)
 	cfg.Spring.Damp = 3
-	short, err := RunShared(cfg, 10)
+	short, err := Run(cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := testConfig(2, 300)
 	cfg2.Spring.Damp = 3
-	long, err := RunShared(cfg2, 400)
+	long, err := Run(cfg2, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestClusteredFillMatchesAcrossModes(t *testing.T) {
 	cfg.FillHeight = 0.3
 	cfg.BC = geom.Reflecting
 	cfg.Gravity = -20
-	serial, err := RunShared(cfg, iters)
+	serial, err := Run(cfg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestClusteredFillMatchesAcrossModes(t *testing.T) {
 		cfg.Mode = MPI
 		cfg.P = p
 		cfg.BlocksPerProc = 2
-		res, err := RunDistributed(cfg, iters)
+		res, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -149,7 +149,7 @@ func TestClusteredLoadImbalanceVisible(t *testing.T) {
 		cfg.P = 16
 		cfg.BlocksPerProc = bpp
 		cfg.Warmup = 1
-		res, err := RunDistributed(cfg, 3)
+		res, err := Run(cfg, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestFusedReducesLocksAndTime(t *testing.T) {
 		cfg.Method = shm.SelectedAtomic
 		cfg.Fused = fused
 		cfg.Warmup = 1
-		res, err := RunDistributed(cfg, 3)
+		res, err := Run(cfg, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestReorderingImprovesModelledTime(t *testing.T) {
 			cfg.ModelN = 1_000_000
 			cfg.Reorder = reorder
 			cfg.Warmup = 1
-			res, err := RunShared(cfg, 3)
+			res, err := Run(cfg, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 		cfg.T = 3
 		cfg.BlocksPerProc = 2
 		cfg.Method = shm.SelectedAtomic
-		res, err := RunDistributed(cfg, 5)
+		res, err := Run(cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,14 +366,14 @@ func TestRunDispatch(t *testing.T) {
 	if _, err := Run(cfg, 5); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, err := RunShared(Config{}, 1); err == nil {
+	if _, err := Run(Config{}, 1); err == nil {
 		t.Error("zero config accepted")
 	}
 	mpiCfg := testConfig(2, 120)
 	mpiCfg.Mode = MPI
 	mpiCfg.P = 50 // forces block edges below rc
 	mpiCfg.BlocksPerProc = 64
-	if _, err := RunDistributed(mpiCfg, 2); err == nil {
+	if _, err := Run(mpiCfg, 2); err == nil {
 		t.Error("too-fine layout accepted")
 	}
 }

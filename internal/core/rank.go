@@ -1,16 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"hybriddem/internal/decomp"
 	"hybriddem/internal/force"
 	"hybriddem/internal/geom"
 	"hybriddem/internal/machine"
 	"hybriddem/internal/mp"
 	"hybriddem/internal/shm"
-	"hybriddem/internal/trace"
 )
 
 // rankSim is one rank's state in an MPI, MPIsm or Hybrid run: its
@@ -37,17 +33,12 @@ type rankSim struct {
 	pieces []shm.FusedPiece
 	energy [2]float64
 	vote   [1]float64
+	stop   [1]float64    // the Stop verdict's allreduce buffer
 	gate   *shm.HaloGate // hybrid overlap only
 
 	linkCost, contactCost, updCost, partCost float64
 
-	rebuilds int
-	meanDist float64
-	epot     float64
-	ekin     float64
-	iter     int
-
-	forceTime, updateTime, commTime, collTime float64
+	tally
 }
 
 // span records a phase interval on the configured timeline.
@@ -668,259 +659,50 @@ func (r *rankSim) applyGravityBlocks() {
 	}
 }
 
-// segment parameterises one supervised execution attempt of
-// runDistributed: which layout to run on (possibly degraded after a
-// rank loss), which measured iteration to resume from, the original
-// timeline's warm-up length (so global fault-point step numbers stay
-// stable across attempts), the rebuild-boundary snapshot to restore
-// instead of the initial fill, and the collector that receives new
-// snapshots. The zero value is a plain unsupervised run.
-type segment struct {
-	layout  *decomp.Layout
-	start   int
-	warmup0 int
-	restore *epochState
-	sink    *snapCollector
+// The stepper interface: rank 0 leads, and its Stop verdict is agreed
+// through an allreduce so that every rank leaves the loop at the same
+// iteration (rebuild votes are collective: the counters move in lockstep).
+func (r *rankSim) stats() *tally       { return &r.tally }
+func (r *rankSim) rank() int           { return r.c.Rank() }
+func (r *rankSim) faultPoint(step int) { r.c.FaultPoint(step) }
+
+func (r *rankSim) agree(stop bool) bool {
+	r.stop[0] = 0
+	if stop {
+		r.stop[0] = 1
+	}
+	r.c.AllreduceInPlace(r.stop[:], mp.Max)
+	return r.stop[0] != 0
 }
 
-// RunDistributed executes an MPI or Hybrid run and returns the merged
-// result (rank 0's phase attribution, max-over-ranks timing, summed
-// counters). When cfg.Stop reports cancellation every rank leaves the
-// step loop at the same agreed iteration and the partial Result
-// (Iters = completed measured steps) is returned with ErrCanceled.
-func RunDistributed(cfg Config, iters int) (*Result, error) {
-	return runDistributed(cfg, iters, segment{warmup0: cfg.Warmup})
+func (r *rankSim) offer(sink *snapCollector, iter int) { sink.offer(iter, r.dm) }
+
+// canonicalise: as sharedSim's, for the order Place builds per block.
+func (r *rankSim) canonicalise() {
+	r.dm.RestoreIDOrder(r.cfg.N)
+	r.rebuild()
 }
 
-func runDistributed(cfg Config, iters int, seg segment) (*Result, error) {
-	if cfg.Mode != MPI && cfg.Mode != Hybrid && cfg.Mode != MPIsm {
-		return nil, fmt.Errorf("core: RunDistributed with mode %s (distributed modes: %s)", cfg.Mode, distributedNames())
+func (r *rankSim) report() part {
+	p := part{tally: r.tally, clock: r.clock(), nlinks: r.dm.NumLinks(), tc: r.dm.TC}
+	p.tc.Add(&r.c.TC)
+	if r.team != nil {
+		p.tc.Add(&r.team.TC)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if r.cfg.Rebalance == RebalanceORB && r.c.Rank() == 0 {
+		p.tree = r.dm.ORBTreeSnapshot()
 	}
-	l := seg.layout
-	if l == nil {
-		var err error
-		l, err = decomp.NewLayout(cfg.Box(), cfg.RC(), cfg.P, cfg.BlocksPerProc)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var net mp.Network = mp.ZeroNetwork{}
-	if cfg.Platform != nil {
-		if cfg.Mode == Hybrid {
-			net = cfg.Platform.NodeNetwork()
-		} else {
-			net = cfg.Platform.Network()
-		}
-	}
-	measured := iters - seg.start
-	if measured <= 0 {
-		return nil, fmt.Errorf("core: segment start %d leaves no iterations of %d", seg.start, iters)
-	}
-
-	results := make([]*Result, cfg.P)
-	stopped := false // written by rank 0 only, read after RunOpts returns
-	comms, err := mp.RunOpts(cfg.P, mp.RunOptions{
-		Net:         net,
-		Faults:      cfg.Faults,
-		Watchdog:    cfg.Watchdog,
-		NoIntegrity: cfg.NoIntegrity,
-	}, func(c *mp.Comm) {
-		r := newRankSim(&cfg, c, l)
-		defer r.close()
-		switch {
-		case seg.restore != nil:
-			// Rollback: repopulate each owned block from the snapshot's
-			// canonical (post-rebuild) core arrays. The rebuild below is
-			// then an identity on the particle arrangement — positions
-			// are already wrapped and home, stores already cell-ordered —
-			// so the restored trajectory is bit-identical to an
-			// uninterrupted run, whatever rank now owns the block.
-			for _, b := range r.dm.Blocks {
-				if snap := seg.restore.blocks[b.ID]; snap != nil {
-					for i := range snap.ids {
-						b.PS.Append(snap.pos[i], snap.vel[i], snap.ids[i])
-					}
-					b.NCore = len(snap.ids)
-				}
-			}
-		case cfg.Init != nil:
-			for i := 0; i < cfg.N; i++ {
-				r.dm.Place(cfg.Init.Pos[i], cfg.Init.Vel[i], int32(i))
-			}
-		default:
-			r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
-		}
-		r.rebuild()
-		for i := 0; i < cfg.Warmup; i++ {
-			c.FaultPoint(i)
-			r.step()
-		}
-		c.Barrier()
-		c.SetClock(0)
-		if r.team != nil {
-			r.team.SetClock(0)
-		}
-		r.forceTime, r.updateTime, r.commTime, r.collTime = 0, 0, 0, 0
-		rebuilds0 := r.rebuilds
-		start := time.Now() // after the barrier: the measured loop only
-
-		total := 0.0
-		completed := 0
-		rb := r.rebuilds
-		stopReq, grace := false, 0
-		var stopBuf [1]float64
-		for i := seg.start; i < iters; i++ {
-			c.FaultPoint(seg.warmup0 + i)
-			total += r.step()
-			completed++
-			rebuilt := r.rebuilds > rb
-			rb = r.rebuilds
-			if cfg.OnStep != nil && c.Rank() == 0 {
-				cfg.OnStep(i, r.epot, r.ekin)
-			}
-			if cfg.Probe != nil {
-				pos, vel := gather(&cfg, c, r)
-				if c.Rank() == 0 {
-					cfg.Probe(i, pos, vel)
-				}
-			}
-			if seg.sink != nil && rebuilt && i+1 < iters {
-				// The step ended in a rebuild, so the store is in its
-				// canonical arrangement — the only state a bit-exact
-				// rollback can restart from. Offer it as the state at
-				// the start of iteration i+1.
-				seg.sink.offer(i+1, r.dm)
-			}
-			if cfg.Stop != nil {
-				// Cooperative cancellation: rank 0 polls the hook,
-				// latches the request, and honours it at the next
-				// rebuild boundary (the same canonical state the
-				// snapshot sink above waits for — what makes the
-				// cancellation checkpoint resume bit-exactly) or after
-				// stopGrace steps. The verdict is agreed through an
-				// allreduce, so every rank breaks at the same iteration
-				// and the result collectives and state gather below
-				// stay aligned; rebuild votes are collective, so the
-				// rebuild counter advances in lockstep across ranks.
-				// The extra collective exists only when a Stop hook is
-				// installed.
-				stopBuf[0] = 0
-				if c.Rank() == 0 {
-					if !stopReq && cfg.Stop() {
-						stopReq, grace = true, stopGrace
-					}
-					if stopReq {
-						if rebuilt || grace <= 0 {
-							stopBuf[0] = 1
-						}
-						grace--
-					}
-				}
-				c.AllreduceInPlace(stopBuf[:], mp.Max)
-				if stopBuf[0] != 0 {
-					if c.Rank() == 0 {
-						stopped = true
-					}
-					break
-				}
-			}
-		}
-		wall := time.Since(start)
-		// The full virtual clock since the post-warmup reset covers the
-		// timed phases plus rebuilds, migration, and repartition; read
-		// it before the result collectives below advance it further.
-		elapsedAll := r.clock()
-		meas := float64(completed)
-		if completed == 0 {
-			meas = 1
-		}
-		perIter := total / meas
-		// Timing is the slowest rank's (the paper's t is the global
-		// iteration time).
-		perIter = c.AllreduceScalar(perIter, mp.Max)
-		totalIter := c.AllreduceScalar(elapsedAll, mp.Max) / meas
-
-		nlinks := c.AllreduceScalar(float64(r.dm.NumLinks()), mp.Sum)
-
-		// Per-rank load imbalance of the measured window: compute time
-		// (force + update) only, since a waiting rank's comm time is
-		// exactly the imbalance showing up elsewhere.
-		load := r.forceTime + r.updateTime
-		maxLoad := c.AllreduceScalar(load, mp.Max)
-		meanLoad := c.AllreduceScalar(load, mp.Sum) / float64(cfg.P)
-		imb := 1.0
-		if meanLoad > 0 {
-			imb = maxLoad / meanLoad
-		}
-
-		res := &Result{
-			Mode: cfg.Mode,
-			// Iters counts the measured iterations completed since the
-			// run's start (segment offset included), so a canceled run
-			// reports exactly the boundary a resume must continue from.
-			Iters:      seg.start + completed,
-			PerIter:    perIter,
-			TotalTime:  totalIter,
-			Wall:       wall,
-			Epot:       r.epot,
-			Ekin:       r.ekin,
-			NLinks:     int64(nlinks),
-			Rebuilds:   r.rebuilds - rebuilds0,
-			ForceTime:  r.forceTime / meas,
-			UpdateTime: r.updateTime / meas,
-			CommTime:   r.commTime / meas,
-			CollTime:   r.collTime / meas,
-
-			MeanLinkDist: r.meanDist,
-			Imbalance:    imb,
-		}
-		res.TC = r.dm.TC
-		if r.team != nil {
-			res.TC.Add(&r.team.TC)
-			res.AtomicFraction = r.team.TC.AtomicFraction()
-		}
-		if cfg.Rebalance == RebalanceORB && c.Rank() == 0 {
-			res.Tree = r.dm.ORBTreeSnapshot()
-		}
-		if cfg.CollectState {
-			res.Pos, res.Vel = gather(&cfg, c, r)
-		}
-		results[c.Rank()] = res
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := results[0]
-	var tc trace.Counters
-	var taken, avoided int64
-	for i, res := range results {
-		tc.Add(&res.TC)
-		taken += res.TC.AtomicsTaken
-		avoided += res.TC.AtomicsAvoided
-		tc.Add(&comms[i].TC)
-	}
-	out.TC = tc
-	if taken+avoided > 0 {
-		out.AtomicFraction = float64(taken) / float64(taken+avoided)
-	}
-	if stopped {
-		return out, ErrCanceled
-	}
-	return out, nil
+	return p
 }
 
-// stateGatherTag is far above the tag space the exchange phases use.
-const stateGatherTag = 1 << 28
+const stateGatherTag = 1 << 28 // far above the exchange phases' tag space
 
 // gather collects every rank's core particles onto rank 0, indexed by
 // persistent particle ID, wrapping deferred periodic coordinates back
 // into the box. All ranks must call it; only rank 0 receives the
 // state (the others return nil slices).
-func gather(cfg *Config, c *mp.Comm, r *rankSim) (pos, vel []geom.Vec) {
+func (r *rankSim) gather() (pos, vel []geom.Vec) {
+	cfg, c := r.cfg, r.c
 	box := cfg.Box()
 	var f []float64
 	var ids []int32
@@ -960,14 +742,123 @@ func gather(cfg *Config, c *mp.Comm, r *rankSim) (pos, vel []geom.Vec) {
 	return pos, vel
 }
 
-// Run dispatches on the configured mode.
-func Run(cfg Config, iters int) (*Result, error) {
-	switch cfg.Mode {
-	case Serial, OpenMP:
-		return RunShared(cfg, iters)
-	case MPI, Hybrid, MPIsm:
-		return RunDistributed(cfg, iters)
-	default:
-		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
+// world is the distributed modes' live engine: P rank goroutines inside
+// one mp.RunOpts, each parked on its command channel between Sim calls
+// with its domain, team, window and buffers intact.
+type world struct {
+	cmd    []chan func(stepper)
+	ack    chan struct{} // one token per rank per command; sized P so no rank blocks on it
+	exited chan struct{} // closed once RunOpts has returned
+	err    error         // RunOpts' verdict, valid after exited
+}
+
+// startWorld launches the rank goroutines on s.layout. Each sets itself
+// up — from the newest complete snapshot after a fault, else from cfg —
+// and parks; a fault on the way surfaces from the first command.
+func (s *Sim) startWorld() {
+	cfg, l := s.cfg, s.layout // a copy of the config per world: the ranks keep a pointer to it
+	cfg.P = l.P
+	var restore *epochState
+	s.iters = 0
+	if s.sink != nil {
+		if restore = s.sink.snapshot(); restore != nil {
+			s.iters, cfg.Warmup = restore.iter, 0
+		}
 	}
+	if s.attempt > 0 && s.ft.OnRetry != nil {
+		s.ft.OnRetry(s.attempt, s.iters)
+	}
+	var net mp.Network = mp.ZeroNetwork{}
+	if cfg.Platform != nil {
+		if cfg.Mode == Hybrid {
+			net = cfg.Platform.NodeNetwork()
+		} else {
+			net = cfg.Platform.Network()
+		}
+	}
+	w := &world{
+		cmd:    make([]chan func(stepper), cfg.P),
+		ack:    make(chan struct{}, cfg.P),
+		exited: make(chan struct{}),
+	}
+	for i := range w.cmd {
+		w.cmd[i] = make(chan func(stepper))
+	}
+	s.w, s.parts = w, make([]part, cfg.P)
+	go func() {
+		defer close(w.exited)
+		_, w.err = mp.RunOpts(cfg.P, mp.RunOptions{
+			Net:         net,
+			Faults:      cfg.Faults,
+			Watchdog:    cfg.Watchdog,
+			NoIntegrity: cfg.NoIntegrity,
+		}, func(c *mp.Comm) {
+			r := newRankSim(&cfg, c, l)
+			defer r.close()
+			switch {
+			case restore != nil:
+				// Rollback: repopulate each owned block from the snapshot's
+				// post-rebuild core arrays — wrapped, home, cell-ordered — so
+				// the rebuild below is an identity on the arrangement and the
+				// trajectory stays bit-identical, whichever rank owns the block.
+				for _, b := range r.dm.Blocks {
+					if snap := restore.blocks[b.ID]; snap != nil {
+						for i := range snap.ids {
+							b.PS.Append(snap.pos[i], snap.vel[i], snap.ids[i])
+						}
+						b.NCore = len(snap.ids)
+					}
+				}
+			case cfg.Init != nil:
+				for i := 0; i < cfg.N; i++ {
+					r.dm.Place(cfg.Init.Pos[i], cfg.Init.Vel[i], int32(i))
+				}
+			default:
+				r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
+			}
+			r.rebuild()
+			for i := 0; i < cfg.Warmup; i++ {
+				c.FaultPoint(i)
+				r.step()
+			}
+			c.Barrier()
+			c.SetClock(0)
+			if r.team != nil {
+				r.team.SetClock(0)
+			}
+			r.forceTime, r.updateTime, r.commTime, r.collTime = 0, 0, 0, 0
+			r.rebuilds0 = r.rebuilds // the measured window opens here, at clock 0
+			for {
+				select {
+				case f, ok := <-w.cmd[c.Rank()]:
+					if !ok {
+						return
+					}
+					f(r)
+					w.ack <- struct{}{}
+				case <-c.Unwound(): // a peer died: no command can complete
+					return
+				}
+			}
+		})
+	}()
+}
+
+// do runs f on every rank goroutine and waits for all of them; a world
+// that dies meanwhile reports why.
+func (w *world) do(f func(stepper)) error {
+	for _, c := range w.cmd {
+		select {
+		case c <- f:
+		case <-w.exited:
+		}
+	}
+	for range w.cmd {
+		select {
+		case <-w.ack:
+		case <-w.exited:
+			return w.err
+		}
+	}
+	return nil
 }

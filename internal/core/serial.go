@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"time"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
@@ -31,17 +29,11 @@ type sharedSim struct {
 
 	f32 force.F32Scratch // single-precision mirrors for the Float32 path
 
-	clock    float64 // serial-mode virtual clock
-	tc       trace.Counters
-	rebuilds int
-	meanDist float64
+	clock float64 // serial-mode virtual clock
+	tc    trace.Counters
+	tally
 
 	linkCost, contactCost, updCost, partCost float64
-
-	epot, ekin float64
-	iter       int
-
-	forceTime, updateTime float64
 }
 
 // span records a phase interval on the configured timeline (rank 0).
@@ -234,8 +226,8 @@ func (s *sharedSim) step() float64 {
 	return elapsed
 }
 
-// collect returns the current state indexed by particle ID.
-func (s *sharedSim) collect() (pos, vel []geom.Vec) {
+// gather returns the current state indexed by particle ID.
+func (s *sharedSim) gather() (pos, vel []geom.Vec) {
 	n := s.cfg.N
 	pos = make([]geom.Vec, n)
 	vel = make([]geom.Vec, n)
@@ -246,90 +238,30 @@ func (s *sharedSim) collect() (pos, vel []geom.Vec) {
 	return pos, vel
 }
 
-// RunShared executes a Serial or OpenMP run for the configured warmup
-// plus iters measured iterations. When cfg.Stop reports cancellation
-// the partial Result (Iters = completed steps) is returned together
-// with ErrCanceled.
-func RunShared(cfg Config, iters int) (*Result, error) {
-	if cfg.Mode != Serial && cfg.Mode != OpenMP {
-		return nil, fmt.Errorf("core: RunShared with mode %s (shared modes: %s)", cfg.Mode, sharedNames())
+// canonicalise puts the store back in particle-ID order, as newSharedSim
+// builds it from an Init, and rebuilds: the session continues on the
+// bits of a run resumed from a checkpoint of this state.
+func (s *sharedSim) canonicalise() {
+	perm := make([]int32, s.cfg.N)
+	for i, id := range s.ps.ID[:s.cfg.N] {
+		perm[id] = int32(i)
 	}
-	s, err := newSharedSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.close()
-	for i := 0; i < cfg.Warmup; i++ {
-		s.step()
-	}
-	// Reset measurement state after warmup.
-	s.forceTime, s.updateTime = 0, 0
-	rebuilds0 := s.rebuilds
-	total := 0.0
-	completed := 0
-	stopped := false
-	clk0 := s.nowClock()
-	start := time.Now()
-	stopReq, grace := false, 0
-	for i := 0; i < iters; i++ {
-		rb := s.rebuilds
-		total += s.step()
-		completed++
-		if cfg.Probe != nil {
-			p, v := s.collect()
-			cfg.Probe(i, p, v)
-		}
-		if cfg.OnStep != nil {
-			cfg.OnStep(i, s.epot, s.ekin)
-		}
-		if cfg.Stop != nil {
-			if !stopReq && cfg.Stop() {
-				stopReq, grace = true, stopGrace
-			}
-			// A latched request is honoured at the next rebuild
-			// boundary — the canonical state a resumed run reproduces
-			// bit-exactly — or after stopGrace steps if none comes.
-			if stopReq {
-				if s.rebuilds > rb || grace <= 0 {
-					stopped = true
-					break
-				}
-				grace--
-			}
-		}
-	}
-	wall := time.Since(start)
-	meas := float64(completed)
-	if completed == 0 {
-		meas = 1
-	}
+	s.ps.Permute(perm)
+	s.rebuild()
+}
 
-	res := &Result{
-		Mode:      cfg.Mode,
-		Iters:     completed,
-		PerIter:   total / meas,
-		TotalTime: (s.nowClock() - clk0) / meas,
-		Wall:      wall,
-		Epot:      s.epot,
-		Ekin:      s.ekin,
-		NLinks:    int64(len(s.list.Links)),
-		Rebuilds:  s.rebuilds - rebuilds0,
+// The rest of the stepper interface: its own leader, nobody to agree
+// with, no fault injection, no rollback snapshots.
+func (s *sharedSim) stats() *tally             { return &s.tally }
+func (s *sharedSim) rank() int                 { return 0 }
+func (s *sharedSim) agree(stop bool) bool      { return stop }
+func (s *sharedSim) faultPoint(int)            {}
+func (s *sharedSim) offer(*snapCollector, int) {}
 
-		ForceTime:  s.forceTime / meas,
-		UpdateTime: s.updateTime / meas,
-
-		MeanLinkDist: s.meanDist,
-	}
-	res.TC = s.tc
+func (s *sharedSim) report() part {
+	p := part{tally: s.tally, clock: s.nowClock(), nlinks: len(s.list.Links), tc: s.tc}
 	if s.team != nil {
-		res.TC.Add(&s.team.TC)
-		res.AtomicFraction = s.team.TC.AtomicFraction()
+		p.tc.Add(&s.team.TC)
 	}
-	if cfg.CollectState {
-		res.Pos, res.Vel = s.collect()
-	}
-	if stopped {
-		return res, ErrCanceled
-	}
-	return res, nil
+	return p
 }

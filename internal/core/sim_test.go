@@ -36,7 +36,7 @@ func maxPosErr(t *testing.T, box geom.Box, a, b *Result) float64 {
 func TestSerialEnergyAndMomentum(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		cfg := testConfig(d, 300)
-		res, err := RunShared(cfg, 200)
+		res, err := Run(cfg, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestOpenMPMatchesSerial(t *testing.T) {
 	const iters = 120
 	for _, d := range []int{2, 3} {
 		cfg := testConfig(d, 250)
-		serial, err := RunShared(cfg, iters)
+		serial, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestOpenMPMatchesSerial(t *testing.T) {
 			cfg.Mode = OpenMP
 			cfg.T = 3
 			cfg.Method = m
-			res, err := RunShared(cfg, iters)
+			res, err := Run(cfg, iters)
 			if err != nil {
 				t.Fatalf("D=%d %v: %v", d, m, err)
 			}
@@ -81,7 +81,7 @@ func TestMPIMatchesSerial(t *testing.T) {
 	const iters = 120
 	for _, d := range []int{2, 3} {
 		cfg := testConfig(d, 250)
-		serial, err := RunShared(cfg, iters)
+		serial, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestMPIMatchesSerial(t *testing.T) {
 				cfg.Mode = MPI
 				cfg.P = p
 				cfg.BlocksPerProc = bpp
-				res, err := RunDistributed(cfg, iters)
+				res, err := Run(cfg, iters)
 				if err != nil {
 					t.Fatalf("D=%d P=%d B/P=%d: %v", d, p, bpp, err)
 				}
@@ -107,7 +107,7 @@ func TestHybridMatchesSerial(t *testing.T) {
 	const iters = 100
 	for _, d := range []int{2, 3} {
 		cfg := testConfig(d, 250)
-		serial, err := RunShared(cfg, iters)
+		serial, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestHybridMatchesSerial(t *testing.T) {
 			cfg.BlocksPerProc = 2
 			cfg.Method = shm.SelectedAtomic
 			cfg.Fused = fused
-			res, err := RunDistributed(cfg, iters)
+			res, err := Run(cfg, iters)
 			if err != nil {
 				t.Fatalf("D=%d fused=%v: %v", d, fused, err)
 			}

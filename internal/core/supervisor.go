@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -72,6 +71,9 @@ func newSnapCollector(need, every int) *snapCollector {
 // counter) whether this epoch is taken, so every rank's offer of the
 // same epoch agrees.
 func (sc *snapCollector) offer(iter int, dm *decomp.Domain) {
+	if sc == nil {
+		return // an unsupervised session keeps no snapshots
+	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if iter != sc.curIter {
@@ -156,126 +158,71 @@ type FTConfig struct {
 	OnRetry func(attempt, restart int)
 }
 
-// Supervise executes a distributed run under fault supervision: it
-// takes periodic in-memory snapshots at rebuild boundaries, and on a
+// OpenSupervised opens a distributed session under fault supervision:
+// it takes periodic in-memory snapshots at rebuild boundaries, and on a
 // detected fault (injected kill, corrupted message, watchdog timeout)
-// rolls the simulation back to the last complete snapshot and re-runs
-// it — after a rank kill, on a degraded layout that redistributes the
-// dead rank's blocks over the surviving P-1 ranks. Recovery is
-// bit-exact: the re-executed trajectory, and every Probe delivery, is
-// bit-identical to an unfaulted run's.
-//
-// The returned Result is the final successful segment's, with Iters
-// patched to the full measured count. Retries exhausted (or a
-// single-rank layout losing its only rank) return the fault as an
-// unrecoverable error; demrun maps that to exit code 3.
+// — during set-up or inside any Advance — rolls the simulation back to
+// the last complete snapshot and re-runs it, after a rank kill on a
+// degraded layout that redistributes the dead rank's blocks over the
+// surviving P-1 ranks. Recovery is bit-exact: the re-executed
+// trajectory, Snapshot boundaries included, and every Probe and OnStep
+// delivery are bit-identical to an unfaulted session's. Retries
+// exhausted (or a single-rank layout losing its only rank) end the
+// session with the fault as an unrecoverable error (demrun: exit 3).
+// After a recovery, Result describes the world that finished.
+func OpenSupervised(cfg Config, ft FTConfig) (*Sim, error) {
+	if !cfg.Mode.Distributed() {
+		return nil, fmt.Errorf("core: Supervise with mode %s, which has no ranks to lose (distributed modes only)", cfg.Mode)
+	}
+	return open(cfg, &ft)
+}
+
+// Supervise is Run under OpenSupervised.
 func Supervise(cfg Config, iters int, ft FTConfig) (*Result, error) {
-	if cfg.Mode != MPI && cfg.Mode != Hybrid && cfg.Mode != MPIsm {
-		return nil, fmt.Errorf("core: Supervise with mode %s (distributed modes: %s)", cfg.Mode, distributedNames())
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if iters < 1 {
 		return nil, fmt.Errorf("core: Supervise with %d iterations", iters)
 	}
-	layout, err := decomp.NewLayout(cfg.Box(), cfg.RC(), cfg.P, cfg.BlocksPerProc)
-	if err != nil {
-		return nil, err
-	}
-	maxRetries := ft.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 3
-	}
-	sink := newSnapCollector(layout.B, ft.SnapshotEvery)
+	s, err := OpenSupervised(cfg, ft)
+	return advanceAndClose(s, err, iters)
+}
 
-	// Each measured iteration is delivered to the caller's probe
-	// exactly once: a rollback re-executes iterations the caller has
-	// already seen, and redelivering them (even bit-identically) would
-	// corrupt trajectory captures.
-	probe := cfg.Probe
-	delivered := 0
-	if probe != nil {
-		cfg.Probe = func(iter int, pos, vel []geom.Vec) {
-			if iter == delivered {
-				probe(iter, pos, vel)
-				delivered++
-			}
-		}
+// rollback answers the error that killed the world: the session is over
+// without an FTConfig or when it is no fault; otherwise one retry is
+// spent, a kill degrades the layout, and run restarts after the backoff.
+func (s *Sim) rollback(err error) error {
+	fe := fault.From(err)
+	if s.ft == nil || fe == nil {
+		return err
 	}
-	// OnStep gets the same exactly-once guarantee: a rollback replays
-	// iterations whose step events subscribers have already seen.
-	onStep := cfg.OnStep
-	stepsSeen := 0
-	if onStep != nil {
-		cfg.OnStep = func(iter int, epot, ekin float64) {
-			if iter == stepsSeen {
-				onStep(iter, epot, ekin)
-				stepsSeen++
-			}
-		}
+	s.attempt++
+	if s.ft.OnFault != nil {
+		s.ft.OnFault(s.attempt, fe)
 	}
-
-	backoff := ft.Backoff
-	warmup0 := cfg.Warmup
-	for attempt := 0; ; attempt++ {
-		segCfg := cfg
-		segCfg.P = layout.P
-		seg := segment{layout: layout, warmup0: warmup0, sink: sink}
-		if snap := sink.snapshot(); snap != nil {
-			seg.start = snap.iter
-			seg.restore = snap
-			segCfg.Warmup = 0
-		}
-		if attempt > 0 && ft.OnRetry != nil {
-			ft.OnRetry(attempt, seg.start)
-		}
-		res, err := runDistributed(segCfg, iters, seg)
-		if err == nil {
-			res.Iters = iters
-			return res, nil
-		}
-		if errors.Is(err, ErrCanceled) {
-			// Cooperative cancellation is not a fault: hand the partial
-			// result (Iters already holds the completed count) straight
-			// back so the caller can checkpoint and later resume it.
-			return res, err
-		}
-		fe := fault.From(err)
-		if fe == nil {
-			return nil, err // config error, not a fault
-		}
-		if ft.OnFault != nil {
-			ft.OnFault(attempt+1, fe)
-		}
-		if attempt+1 > maxRetries {
-			return nil, fmt.Errorf("core: unrecoverable after %d recovery attempts: %w", maxRetries, fe)
-		}
-		sink.reset()
-		if fe.Kind == fault.Killed {
-			degraded, derr := layout.Degrade(fe.Rank)
-			if derr != nil {
-				return nil, fmt.Errorf("core: cannot recover from %w: %v", fe, derr)
-			}
-			layout = degraded
-		}
-		if backoff > 0 {
-			// The backoff sleep honours cooperative cancellation: a
-			// caller that decides to stop the job mid-recovery (demd
-			// canceling or shutting down) must not wait out a
-			// potentially long exponential backoff. There is no partial
-			// Result at this point — the failed attempt rolled back —
-			// so the return is the pending fault wrapped as a plain
-			// error, not ErrCanceled (whose contract promises a usable
-			// partial Result).
-			deadline := time.Now().Add(backoff)
-			for time.Now().Before(deadline) {
-				if cfg.Stop != nil && cfg.Stop() {
-					return nil, fmt.Errorf("core: run canceled during recovery backoff: %w", fe)
-				}
-				time.Sleep(min(10*time.Millisecond, time.Until(deadline)))
-			}
-			backoff *= 2
-		}
+	if s.attempt > s.ft.MaxRetries {
+		return fmt.Errorf("core: unrecoverable after %d recovery attempts: %w", s.ft.MaxRetries, fe)
 	}
+	s.sink.reset()
+	if fe.Kind == fault.Killed {
+		degraded, derr := s.layout.Degrade(fe.Rank)
+		if derr != nil {
+			return fmt.Errorf("core: cannot recover from %w: %v", fe, derr)
+		}
+		s.layout = degraded
+	}
+	if s.backoff > 0 {
+		// The backoff honours cooperative cancellation: demd canceling or
+		// shutting down must not wait out a long exponential backoff. The
+		// failed attempt rolled back, so there is no partial Result and the
+		// return is the pending fault, not ErrCanceled (which promises one).
+		deadline := time.Now().Add(s.backoff)
+		for time.Now().Before(deadline) {
+			if s.cfg.Stop != nil && s.cfg.Stop() {
+				return fmt.Errorf("core: run canceled during recovery backoff: %w", fe)
+			}
+			time.Sleep(min(10*time.Millisecond, time.Until(deadline)))
+		}
+		s.backoff *= 2
+	}
+	s.w = nil // down, for run to restart; on the error paths the dead world stays and answers for it
+	return nil
 }

@@ -278,6 +278,34 @@ func (dm *Domain) Rebuild(reorder bool) {
 	dm.buildLists()
 }
 
+// RestoreIDOrder wraps and migrates exactly as Rebuild begins by
+// doing, then sorts every block's core particles by ascending particle
+// id — the arrangement Place builds from an id-indexed state. A Rebuild
+// after it therefore continues a live domain on the same bits as a
+// domain re-placed from a checkpoint of this state, with nothing torn
+// down. Ids are dense in [0, n), so the sort is one O(n) pass per rank.
+func (dm *Domain) RestoreIDOrder(n int) {
+	dm.migrate()
+	slot := make([]int32, n) // 1 + the slot of the owned block holding the id
+	at := make([]int32, n)   // its index in that block's store
+	perms := make([][]int32, len(dm.Blocks))
+	for s, b := range dm.Blocks {
+		for i, id := range b.PS.ID[:b.NCore] {
+			slot[id], at[id] = int32(s+1), int32(i)
+		}
+		perms[s] = make([]int32, 0, b.NCore)
+	}
+	for id, s := range slot {
+		if s != 0 {
+			perms[s-1] = append(perms[s-1], at[id])
+		}
+	}
+	for s, b := range dm.Blocks {
+		b.PS.Permute(perms[s])
+		dm.C.Compute(float64(b.NCore) * dm.PackCost)
+	}
+}
+
 // reorderCores permutes each block's core particles into cell order
 // using a binning over the block's own grid; "as cells are numbered
 // according to their spatial position, this achieves spatial locality

@@ -1,8 +1,11 @@
 package mp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -65,6 +68,21 @@ func (fp *FaultPlan) ArmKill(rank, step int) {
 	fp.killArmed, fp.killFired = true, false
 	fp.killRank, fp.killStep = rank, step
 	fp.mu.Unlock()
+}
+
+// ParseKill parses the "rank@step" spelling of an ArmKill that demrun's
+// -chaos-kill flag and demd's chaosKill job field share.
+func ParseKill(s string) (rank, step int, err error) {
+	r, st, ok := strings.Cut(s, "@")
+	if ok {
+		if rank, err = strconv.Atoi(r); err == nil {
+			step, err = strconv.Atoi(st)
+		}
+	}
+	if !ok || err != nil || rank < 0 || step < 0 {
+		return 0, 0, fmt.Errorf("chaos kill %q: want rank@step with non-negative integers", s)
+	}
+	return rank, step, nil
 }
 
 // Stats returns a snapshot of the applied-fault counts.

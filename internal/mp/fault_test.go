@@ -152,6 +152,36 @@ func TestKillSurfacesTypedError(t *testing.T) {
 	}
 }
 
+// TestKillReleasesParkedRank: a rank waiting outside the runtime — on
+// its driver's command channel, which no mailbox abort or watchdog tick
+// reaches — learns of a peer's death from Unwound, fail-fast or silent,
+// and is not told of one that did not happen.
+func TestKillReleasesParkedRank(t *testing.T) {
+	for _, wd := range []time.Duration{0, 200 * time.Millisecond} {
+		plan := NewFaultPlan(3)
+		plan.ArmKill(1, 0)
+		never := make(chan struct{})
+		_, err := RunOpts(2, RunOptions{Faults: plan, Watchdog: wd}, func(c *Comm) {
+			c.FaultPoint(0)
+			select {
+			case <-never:
+			case <-c.Unwound():
+			}
+		})
+		if fe := fault.From(err); fe == nil || fe.Kind != fault.Killed {
+			t.Errorf("watchdog %v: run returned %v, want the kill", wd, err)
+		}
+	}
+	Run(2, ZeroNetwork{}, func(c *Comm) {
+		c.Barrier()
+		select {
+		case <-c.Unwound():
+			t.Errorf("rank %d of a clean run told of a death", c.Rank())
+		default:
+		}
+	})
+}
+
 func TestKillFiresOnce(t *testing.T) {
 	plan := NewFaultPlan(4)
 	plan.ArmKill(0, 0)

@@ -109,6 +109,9 @@ type world struct {
 	freeColl []*collState // recycled collective states
 	anyPanic bool
 
+	unwound     chan struct{} // closed when the first rank unwinds (Comm.Unwound)
+	unwoundOnce sync.Once
+
 	// Message-buffer freelist. Send copies payloads into buffers drawn
 	// from here; receivers hand them back with Comm.FreeBuffers. The
 	// pool's buffer count is bounded by the in-flight high-water mark,
@@ -335,6 +338,7 @@ func RunOpts(p int, opt RunOptions, fn func(c *Comm)) ([]*Comm, error) {
 		faults:    opt.Faults,
 		integrity: !opt.NoIntegrity,
 		wd:        opt.Watchdog,
+		unwound:   make(chan struct{}),
 	}
 	w.collCond = sync.NewCond(&w.collMu)
 	for i := range w.boxes {
@@ -385,6 +389,7 @@ func RunOpts(p int, opt RunOptions, fn func(c *Comm)) ([]*Comm, error) {
 			defer func() {
 				if e := recover(); e != nil {
 					panics[r] = e
+					w.unwoundOnce.Do(func() { close(w.unwound) })
 					// An injected kill under an armed watchdog dies
 					// silently — peers must discover the loss through
 					// their own deadlines, as with a real node failure.
@@ -476,6 +481,13 @@ func Run(p int, net Network, fn func(c *Comm)) []*Comm {
 	}
 	return comms
 }
+
+// Unwound is closed once any rank of the world has panicked — fault or
+// bug, silent kill included. Blocking mp calls notice a lost peer on
+// their own; this is for a rank parked outside the runtime (waiting on a
+// channel for its driver's next command), which must return for RunOpts
+// to finish.
+func (c *Comm) Unwound() <-chan struct{} { return c.w.unwound }
 
 // Rank returns this rank's index in [0, Size).
 func (c *Comm) Rank() int { return c.rank }

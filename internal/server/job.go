@@ -3,8 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,7 +161,7 @@ func (j *Job) faultPlan() *mp.FaultPlan {
 	if j.Spec.ChaosKill == "" {
 		return nil
 	}
-	rank, step, err := parseKill(j.Spec.ChaosKill)
+	rank, step, err := mp.ParseKill(j.Spec.ChaosKill)
 	if err != nil {
 		return nil // Submit validated this; unreachable for accepted jobs
 	}
@@ -177,22 +175,6 @@ func (j *Job) faultPlan() *mp.FaultPlan {
 		j.chaos.ArmKill(rank, step)
 	})
 	return j.chaos
-}
-
-// parseKill parses a "rank@step" fault-injection spec.
-func parseKill(s string) (rank, step int, err error) {
-	at := strings.IndexByte(s, '@')
-	if at < 0 {
-		return 0, 0, fmt.Errorf("chaos kill %q: want rank@step", s)
-	}
-	rank, err = strconv.Atoi(s[:at])
-	if err == nil {
-		step, err = strconv.Atoi(s[at+1:])
-	}
-	if err != nil || rank < 0 || step < 0 {
-		return 0, 0, fmt.Errorf("chaos kill %q: want rank@step with non-negative integers", s)
-	}
-	return rank, step, nil
 }
 
 // status assembles the wire-visible JobStatus including counters.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -427,5 +428,100 @@ func TestLifecycleValidation(t *testing.T) {
 	}
 	if st := s.ServerStats().Stats; st.Rejected != 9 {
 		t.Errorf("rejected counter = %d, want 9", st.Rejected)
+	}
+}
+
+// runToDone submits spec and fails unless the job ends done.
+func runToDone(t *testing.T, s *Server, spec JobSpec) *JobStatus {
+	t.Helper()
+	r := s.Submit(&spec)
+	if !r.OK {
+		t.Fatalf("submit: %s", r.Error)
+	}
+	st := waitTerminal(t, s, r.ID)
+	if st.State != "done" {
+		t.Fatalf("job %s ended %s: %s", r.ID, st.State, st.Error)
+	}
+	return st
+}
+
+// sameBytes fails unless the two files are byte-identical.
+func sameBytes(t *testing.T, wantPath, gotPath string) {
+	t.Helper()
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(gotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s and %s differ", wantPath, gotPath)
+	}
+}
+
+// TestChaosKillPastTheCadenceFires: fault points count cumulative
+// iterations, not iterations of the current chunk, so a kill scheduled
+// beyond the checkpoint cadence fires (when every chunk restarted the
+// numbering at 0, step 30 of a 20-step chunk never came and the job
+// ended done with no restart). The retry resumes from the durable
+// checkpoint at 20 and lands on the unfaulted job's bytes.
+func TestChaosKillPastTheCadenceFires(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurable(t, Options{
+		Workers: 1, DataDir: filepath.Join(dir, "data"),
+		RetryBackoff: 2 * time.Millisecond,
+	})
+	spec := JobSpec{D: 2, N: 100, Iters: 60, Mode: "mpi", P: 1, CheckpointEvery: 20}
+
+	ref := spec
+	ref.Checkpoint = filepath.Join(dir, "ref.ck")
+	runToDone(t, s, ref)
+
+	faulted := spec
+	faulted.Checkpoint = filepath.Join(dir, "faulted.ck")
+	faulted.ChaosKill = "0@30"
+	if fin := runToDone(t, s, faulted); fin.Restarts != 1 || fin.ItersDone != spec.Iters {
+		t.Fatalf("faulted job: %d restarts, %d iterations; want exactly 1 restart and %d iterations",
+			fin.Restarts, fin.ItersDone, spec.Iters)
+	}
+	sameBytes(t, ref.Checkpoint, faulted.Checkpoint)
+}
+
+// TestChunkedJobEqualsChainedJobs: a durable job that checkpoints every
+// 20 iterations and continues in place ends on the bytes of the same
+// run made as three separate jobs chained through checkpoint/load at
+// 20 and 40 — tear-down, checkpoint file, fresh set-up at every
+// boundary. Cache reordering is on and the bed is dense and 3-D, where
+// a boundary that did not canonicalise shows in the last bit.
+func TestChunkedJobEqualsChainedJobs(t *testing.T) {
+	for name, mode := range map[string]JobSpec{
+		"serial": {},
+		"openmp": {Mode: "openmp", T: 1},
+		"mpi":    {Mode: "mpi", P: 2, BPP: 2},
+		"hybrid": {Mode: "hybrid", P: 2, T: 1},
+		"mpism":  {Mode: "mpism", P: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newDurable(t, Options{Workers: 1, DataDir: filepath.Join(dir, "data")})
+			spec := mode
+			spec.D, spec.N, spec.Warm = 3, 1500, 1
+			spec.Vel, spec.RC, spec.Fill, spec.Grav = 4, 1.2, 0.5, -20
+			spec.CheckpointEvery = 20
+
+			chunked := spec
+			chunked.Iters, chunked.Checkpoint = 60, filepath.Join(dir, "chunked.ck")
+			runToDone(t, s, chunked)
+
+			link := spec
+			for _, total := range []int{20, 40, 60} {
+				link.Iters, link.Checkpoint = total, filepath.Join(dir, fmt.Sprintf("link%d.ck", total))
+				runToDone(t, s, link)
+				link.Load = link.Checkpoint
+			}
+			sameBytes(t, link.Checkpoint, chunked.Checkpoint)
+		})
 	}
 }

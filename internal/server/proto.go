@@ -45,10 +45,8 @@ type JobSpec struct {
 	Vel   float64 `json:"vel,omitempty"`  // initial velocity scale
 	Damp  float64 `json:"damp,omitempty"`
 
-	// NoReorder disables the cache particle reordering. Serial and
-	// openmp jobs that should be cancel-and-resume bit-exact need it
-	// (see core.Config.Stop); the distributed modes are exact either
-	// way.
+	// NoReorder disables the cache particle reordering. No resume
+	// guarantee of the daemon needs it (see core.Config.Stop).
 	NoReorder bool `json:"noreorder,omitempty"`
 
 	// Checkpoint, when set, is the path the job writes crash-safe

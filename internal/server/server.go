@@ -14,6 +14,7 @@ import (
 	"hybriddem/internal/checkpoint"
 	"hybriddem/internal/core"
 	"hybriddem/internal/fault"
+	"hybriddem/internal/mp"
 )
 
 // Options tunes a Server. The zero value gets sensible defaults.
@@ -488,26 +489,15 @@ func validateLifecycle(spec *JobSpec) error {
 		return fmt.Errorf("checkpointEvery must be non-negative")
 	}
 	if spec.ChaosKill != "" {
-		if _, _, err := parseKill(spec.ChaosKill); err != nil {
+		if _, _, err := mp.ParseKill(spec.ChaosKill); err != nil {
 			return err
 		}
-		m, err := core.ModeByName(modeOrDefault(spec.Mode))
-		if err != nil || !distributedMode(m) {
+		m, err := core.ModeByName(spec.Mode) // "" (the serial default) is no name and fails here too
+		if err != nil || !m.Distributed() {
 			return fmt.Errorf("chaosKill needs a distributed mode (mpi | hybrid | mpism)")
 		}
 	}
 	return nil
-}
-
-func modeOrDefault(name string) string {
-	if name == "" {
-		return "serial"
-	}
-	return name
-}
-
-func distributedMode(m core.Mode) bool {
-	return m == core.MPI || m == core.Hybrid || m == core.MPIsm
 }
 
 // maxRestartsFor resolves a job's retry budget: spec override, server
@@ -727,19 +717,22 @@ func (s *Server) durablePath(j *Job) string {
 // saveCk checkpoints a run result crash-safely.
 func saveCk(path string, cfg *core.Config, res *core.Result, iters int) error {
 	snap, err := checkpoint.FromResult(cfg, res, iters)
-	if err != nil {
-		return err
+	if err == nil {
+		err = checkpoint.SaveFile(path, snap)
 	}
-	return checkpoint.SaveFile(path, snap)
+	if err != nil {
+		err = fmt.Errorf("checkpoint: %w", err)
+	}
+	return err
 }
 
 // execute runs one attempt of a job and classifies the outcome:
 // terminal state, error message, and whether the outcome is a
 // retryable fault. It resumes from the job's durable checkpoint when
 // one exists (falling back to the client's own Load on corruption),
-// runs distributed modes under core.Supervise so faults roll back
-// in-process first, checkpoints durably every CheckpointEvery
-// iterations, and enforces the wall-clock and progress-floor deadlines
+// runs the attempt as one live core.Sim — supervised in the distributed
+// modes, so faults roll back in-process first — checkpointing durably
+// at every multiple of CheckpointEvery, and enforces the wall-clock and progress-floor deadlines
 // through the core.Config.Stop surface.
 func (s *Server) execute(j *Job) (st State, errMsg string, retryable bool) {
 	spec := &j.Spec
@@ -838,90 +831,49 @@ func (s *Server) execute(j *Job) (st State, errMsg string, retryable bool) {
 	if every == 0 {
 		every = s.opts.CheckpointEvery
 	}
-	if durable == "" {
-		every = 0 // nothing durable to write mid-run
-	}
-	runSeg := func(c core.Config, n int) (*core.Result, error) {
-		if distributedMode(c.Mode) {
-			return core.Supervise(c, n, core.FTConfig{
-				SnapshotEvery: 1,
-				OnFault: func(attempt int, fe *fault.Error) {
-					s.logf("demd: job %s in-run fault (attempt %d): %v", j.ID, attempt, fe)
-				},
-			})
-		}
-		return core.Run(c, n)
+	cfg.OnStep = func(iter int, epot, ekin float64) {
+		j.itersDone.Store(int64(restored + iter + 1))
+		j.publishEvent(Event{Event: "step", Iter: restored + iter, Epot: epot, Ekin: ekin})
 	}
 
-	// Run in durable-checkpoint-sized chunks (one chunk covering the
-	// whole remainder without a data dir). Each chunk start rebuilds the
-	// neighbor list, so the chunk grid is part of the trajectory: chunks
-	// are aligned to absolute multiples of the cadence — a crashed job
-	// resumes mid-grid with a short first chunk — so a recovered run
-	// revisits exactly the boundaries an unbroken run of the same daemon
-	// would, and lands on the same bits.
+	var sim *core.Sim
+	if cfg.Mode.Distributed() {
+		sim, err = core.OpenSupervised(cfg, core.FTConfig{
+			SnapshotEvery: 1,
+			OnFault: func(attempt int, fe *fault.Error) {
+				s.logf("demd: job %s in-run fault (attempt %d): %v", j.ID, attempt, fe)
+			},
+		})
+	} else {
+		sim, err = core.Open(cfg)
+	}
+	// A durable checkpoint reorders the stores, so the grid is part of
+	// the trajectory; it is absolute — a crashed job resumes mid-grid with
+	// a short first chunk — so a recovered job lands on an unbroken one's bits.
+	var save func(*core.Result, int) error
+	if durable != "" {
+		save = func(snap *core.Result, done int) error { return saveCk(durable, &cfg, snap, done) }
+	}
 	done := restored
-	chunkCfg := cfg
-	var lastRes *core.Result
-	wasCanceled := false
-	for done < total {
-		n := total - done
-		if every > 0 {
-			if toGrid := every - done%every; toGrid < n {
-				n = toGrid
-			}
-		}
-		base := done
-		chunkCfg.OnStep = func(iter int, epot, ekin float64) {
-			j.itersDone.Store(int64(base + iter + 1))
-			j.publishEvent(Event{Event: "step", Iter: base + iter, Epot: epot, Ekin: ekin})
-		}
-		res, rerr := runSeg(chunkCfg, n)
-		wasCanceled = errors.Is(rerr, core.ErrCanceled)
-		if rerr != nil && !wasCanceled {
-			if j.stopReason.Load() == stopCancel {
-				// Canceled while the supervisor was mid-recovery: the
-				// attempt has no resumable result, but the user asked
-				// for cancellation, not failure.
-				return StateCanceled, "", false
-			}
-			if fault.From(rerr) != nil {
-				return StateFailed, rerr.Error(), true
-			}
-			return StateFailed, rerr.Error(), false
-		}
-		done += res.Iters
-		j.itersDone.Store(int64(done))
-		lastRes = res
-		if durable != "" {
-			if serr := saveCk(durable, &chunkCfg, res, done); serr != nil {
-				return StateFailed, fmt.Sprintf("checkpoint: %v", serr), false
-			}
-		}
-		if wasCanceled {
-			break
-		}
-		// A stop that latched inside the chunk but was never honoured —
-		// a static bed rebuilds no neighbor lists, and a chunk shorter
-		// than core's grace budget ends before the grace runs out — must
-		// not leak into the next chunk, where the latch would re-arm
-		// with a fresh budget and the job would run to completion. The
-		// chunk boundary sits on the cadence grid (the canonical
-		// resumable state), so honour the request here.
-		if j.stop.Load() {
-			wasCanceled = true
-			break
-		}
-		// Chain the next chunk off this one's final state; the warm-up
-		// (if any) is already inside it.
-		chunkCfg.Init = &core.State{Pos: res.Pos, Vel: res.Vel}
-		chunkCfg.InitTree = res.Tree
-		chunkCfg.Warmup = 0
+	if err == nil {
+		defer sim.Close()
+		done, err = sim.AdvanceTo(restored, total, every, save)
 	}
+	wasCanceled := errors.Is(err, core.ErrCanceled)
+	if err != nil && !wasCanceled {
+		if j.stopReason.Load() == stopCancel {
+			// Canceled while the supervisor was mid-recovery: the
+			// attempt has no resumable result, but the user asked
+			// for cancellation, not failure.
+			return StateCanceled, "", false
+		}
+		return StateFailed, err.Error(), fault.From(err) != nil
+	}
+	j.itersDone.Store(int64(done))
 
-	if spec.Checkpoint != "" && lastRes != nil {
-		if serr := saveCk(spec.Checkpoint, &chunkCfg, lastRes, done); serr != nil {
-			return StateFailed, fmt.Sprintf("checkpoint: %v", serr), false
+	if spec.Checkpoint != "" {
+		if serr := saveCk(spec.Checkpoint, &cfg, sim.Result(), done); serr != nil {
+			return StateFailed, serr.Error(), false
 		}
 		j.ckWritten.Store(true)
 	}

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"strings"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
@@ -60,6 +61,27 @@ func (m Method) String() string {
 // atomic, selected atomic, and the stripe/transpose pair; the critical
 // reduction is measured but unplotted).
 var Methods = []Method{Atomic, SelectedAtomic, CriticalReduction, Stripe, Transpose}
+
+// MethodNames returns the command-line names of Methods, in order — the
+// canonical content of a -method flag's help text.
+func MethodNames() []string {
+	ns := make([]string, len(Methods))
+	for i, m := range Methods {
+		ns[i] = m.String()
+	}
+	return ns
+}
+
+// MethodByName resolves a command-line method name (case-insensitive).
+// The error lists the valid names.
+func MethodByName(name string) (Method, error) {
+	for _, m := range Methods {
+		if strings.EqualFold(name, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q (valid: %s)", name, strings.Join(MethodNames(), " | "))
+}
 
 // PairForceHook, when non-nil, intercepts every pair force computed by
 // the shared-memory updaters (per-block and fused) before it is

@@ -54,23 +54,25 @@ func captureUntilCanceled(t *testing.T, cfg core.Config, iters, reqAt int) (*Tra
 	return tr, res
 }
 
-// TestCancelResumeBitIdentical is the acceptance oracle for
-// cancellation: in every execution mode, a run canceled mid-flight via
-// Config.Stop, checkpointed from its partial Result, and resumed from
-// that checkpoint must replay the remaining steps bit-identically to
-// an unbroken run. This holds because cancellation lands on list
-// rebuild boundaries — the canonical states from which a fresh setup
-// reproduces the exact list, reference positions and rebuild cadence
-// of the uninterrupted run. It is what makes daemon-side cancel (and
-// demrun's SIGINT handling) lossless rather than merely graceful.
+// TestCancelResumeBitIdentical is the cancellation oracle on a system
+// where it can be held against an unbroken run: in every execution
+// mode, a run canceled mid-flight via Config.Stop, checkpointed from
+// its partial Result, and resumed from that checkpoint replays the
+// remaining steps bit-identically to a run that never stopped.
+// Cancellation lands on list rebuild boundaries, so the resumed run
+// shares the unbroken one's list, reference positions and rebuild
+// cadence; what it does not share is the order particles are stored
+// in (a resume re-places them by ID), and this bed — 2-D, 200
+// particles, sparse — is one where that order never reaches the last
+// bit of a force sum. It is not a property of the modes: with
+// cancelConfig(3, 1500) the mpi, hybrid and mpism rows differ from the
+// unbroken run by 1 ulp at steps 21–52. The guarantee that holds on
+// every bed is TestSnapshotContinueEqualsResume's.
 func TestCancelResumeBitIdentical(t *testing.T) {
 	const total, reqAt = 120, 3
-	// The shared modes run with cache reordering off: the reorder's
-	// within-cell storage order depends on the order before the
-	// rebuild, which a fresh setup cannot reproduce, so bit-exact
-	// resume in Serial/OpenMP needs Reorder off (see Config.Stop). The
-	// distributed modes canonicalise particle order during migration
-	// and keep their default reordering. The T>1 rows use the
+	// The shared modes run with cache reordering off and the distributed
+	// ones with it on; on this bed neither choice matters (see above and
+	// Config.Stop). The T>1 rows use the
 	// Transpose reduction: under the lock methods the order two threads
 	// add into a shared particle depends on the host's scheduling, so
 	// two runs of the same configuration need not agree bit for bit.
