@@ -21,6 +21,7 @@ import (
 	"hybriddem/internal/machine"
 	"hybriddem/internal/particle"
 	"hybriddem/internal/shm"
+	"hybriddem/internal/trace"
 )
 
 // benchOpts keeps the experiment regenerations short enough for the
@@ -140,6 +141,38 @@ func BenchmarkLinkListBuild3D(b *testing.B) {
 		g.Bin(&ps.Pos, cfg.N, nil)
 		g.BuildLinks(&ps.Pos, cfg.N, cfg.N, rc*rc, box, nil)
 	}
+}
+
+// BenchmarkLinkBuildBed3D is the rebuild's link generation on hostbench's
+// bed3d density (the bottom quarter of the box, ~13 particles a cell): bin
+// the reordered store and build the list into reused storage, as a serial
+// rebuild does. CI holds ns/link to 4x BenchmarkForceSerial3D's and to
+// 0 allocs/op (bench-and-alloc-gate).
+func BenchmarkLinkBuildBed3D(b *testing.B) {
+	cfg := core.Default(3, 30_000)
+	box := cfg.Box()
+	ps := particle.New(3, cfg.N)
+	particle.FillClustered(ps, cfg.N, box, 0.25, 0, 0, rand.New(rand.NewSource(1)))
+	rc := cfg.RC()
+	g := cell.NewGrid(3, geom.Vec{}, box.Len, rc, true)
+	g.Bin(&ps.Pos, cfg.N, nil)
+	ps.Permute(g.Order())
+	var buf cell.ListBuffer
+	var tc trace.Counters
+	links := 0
+	build := func() {
+		g.Bin(&ps.Pos, cfg.N, &tc)
+		links = len(g.BuildLinksInto(&buf, &ps.Pos, cfg.N, cfg.N, rc*rc, box, &tc).Links)
+	}
+	build() // grow the storage outside the timed loop
+	tc = trace.Counters{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*links), "ns/link")
+	b.ReportMetric(float64(tc.PairChecks)/float64(b.N*links), "checks/link")
 }
 
 func BenchmarkIntegrate3D(b *testing.B) {

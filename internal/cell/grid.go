@@ -42,25 +42,38 @@ type Grid struct {
 	start  []int32 // prefix offsets into order
 	order  []int32 // particle indices sorted by cell
 
+	// identity records that order is the identity permutation: the
+	// particles already sit in cell order, as they do once the store
+	// has been permuted by Order. The link sweep then reads the
+	// caller's coordinates in place of a gathered copy.
+	identity bool
+
 	// Reused scratch: fill cursors for the serial counting sort, and
 	// the per-thread count/cursor arrays of the parallel binning. Kept
 	// on the grid so repeated rebuilds are allocation-free.
-	fill       []int32
-	perThread  [][]int32
-	curThread  [][]int32
-	coreBufs   []ListBuffer // per-thread staging for BuildLinksParallel
-	checkBuf   []int64      // per-thread pair-check counts
-	mergedList List         // final list storage for BuildLinksParallel
-	stencil    [][geom.MaxD]int
-}
+	fill      []int32
+	perThread [][]int32
+	curThread [][]int32
+	unsorted  []bool           // per thread: its chunk of cellOf was not ascending
+	stencil   [][geom.MaxD]int // half stencil of the grid's dimensionality
 
-// halfStencilCached returns the half stencil for the grid's
-// dimensionality, computing it once.
-func (g *Grid) halfStencilCached() [][geom.MaxD]int {
-	if g.stencil == nil {
-		g.stencil = halfStencil(g.D)
-	}
-	return g.stencil
+	// Link-build scratch: the cell-sorted coordinate view and per-cell
+	// halo counts the sweep reads when order is not the identity, and
+	// the storage of BuildLinksParallel — the list it returns (own,
+	// which thread 0 emits into directly), the other threads' staging,
+	// and one builder per thread.
+	sorted     [geom.MaxD][]float64
+	nHalo      []int32
+	own        ListBuffer
+	threadBufs []ListBuffer
+	builders   []linkBuilder
+
+	// The build in flight and the bodies BinParallel and
+	// BuildLinksParallel hand to the pool: bound once, so a warm
+	// parallel rebuild creates no closure.
+	cur    build
+	binPos *geom.Coords
+	bodies poolBodies
 }
 
 // NewGrid builds a grid over the region [origin, origin+span) whose
@@ -70,7 +83,7 @@ func NewGrid(d int, origin, span geom.Vec, minCell float64, wrap bool) *Grid {
 	if minCell <= 0 {
 		panic(fmt.Sprintf("cell: non-positive cell size %g", minCell))
 	}
-	g := &Grid{D: d, Origin: origin, Span: span, Wrap: wrap}
+	g := &Grid{D: d, Origin: origin, Span: span, Wrap: wrap, stencil: halfStencil(d)}
 	for i := 0; i < d; i++ {
 		n := int(math.Floor(span[i] / minCell))
 		if n < 1 {
@@ -161,44 +174,55 @@ func (g *Grid) flatten(c [geom.MaxD]int) int32 {
 	return int32(idx)
 }
 
+// roomFor returns buf resized to n elements, reallocated with an eighth
+// to spare when it is too small: a block's population creeps up from
+// rebuild to rebuild as a bed settles, and an exact fit would have every
+// one of those rebuilds reallocate. The contents are not kept.
+func roomFor[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, n+n/8)
+	}
+	return buf[:n]
+}
+
+// sizeBins sizes the binning results for n particles and returns the
+// number of cells.
+func (g *Grid) sizeBins(n int) int {
+	nc := g.NumCells()
+	g.cellOf = roomFor(g.cellOf, n)
+	g.order = roomFor(g.order, n)
+	g.count = roomFor(g.count, nc)
+	g.start = roomFor(g.start, nc+1)
+	return nc
+}
+
 // Bin assigns the first n entries of pos to cells and builds the
 // cell-ordered index list. It must be called before Links. Counters may
 // be nil.
 func (g *Grid) Bin(pos *geom.Coords, n int, tc *trace.Counters) {
-	nc := g.NumCells()
-	if cap(g.cellOf) < n {
-		g.cellOf = make([]int32, n)
-	}
-	g.cellOf = g.cellOf[:n]
-	if cap(g.count) < nc {
-		g.count = make([]int32, nc)
-		g.start = make([]int32, nc+1)
-	}
-	g.count = g.count[:nc]
-	g.start = g.start[:nc+1]
+	nc := g.sizeBins(n)
 	for i := range g.count {
 		g.count[i] = 0
 	}
+	prev, ascending := int32(0), true
 	for i := 0; i < n; i++ {
 		c := g.cellIndexAt(pos, i)
 		g.cellOf[i] = c
 		g.count[c]++
+		ascending = ascending && c >= prev
+		prev = c
 	}
+	// A stable sort of keys that already ascend moves nothing.
+	g.identity = ascending
 	g.start[0] = 0
 	for c := 0; c < nc; c++ {
 		g.start[c+1] = g.start[c] + g.count[c]
 	}
-	if cap(g.order) < n {
-		g.order = make([]int32, n)
-	}
-	g.order = g.order[:n]
 	// Counting sort; fill slots per cell in ascending particle index so
 	// the result is deterministic. The cursor array is grid-owned
 	// scratch, reused across rebuilds.
-	if cap(g.fill) < nc {
-		g.fill = make([]int32, nc)
-	}
-	fill := g.fill[:nc]
+	g.fill = roomFor(g.fill, nc)
+	fill := g.fill
 	copy(fill, g.start[:nc])
 	for i := 0; i < n; i++ {
 		c := g.cellOf[i]
@@ -214,6 +238,18 @@ func (g *Grid) Bin(pos *geom.Coords, n int, tc *trace.Counters) {
 // It is exactly the permutation that the cache optimisation applies to
 // the particle store. The caller must not modify it.
 func (g *Grid) Order() []int32 { return g.order }
+
+// Reordered tells the grid that the caller has permuted the binned
+// particles by Order (particle.Store.Permute): slot p now holds what
+// Order()[p] named, so the binning stands as it is with the identity
+// for its order — what binning the permuted positions again would
+// compute, the counting sort being stable.
+func (g *Grid) Reordered() {
+	for p := range g.order {
+		g.order[p] = int32(p)
+	}
+	g.identity = true
+}
 
 // CellParticles returns the indices of the particles in cell c, in
 // ascending particle-index order.

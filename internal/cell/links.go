@@ -28,6 +28,11 @@ type Link struct {
 type List struct {
 	Links []Link
 	NCore int
+
+	// DistSum is the sum of |I-J| over Links, accumulated by the builder
+	// as it emits: the numerator of the locality figure the cache model
+	// consumes, exact because it is an integer.
+	DistSum int64
 }
 
 // CoreLinks returns the links whose endpoints are both core particles.
@@ -38,36 +43,117 @@ func (l *List) CoreLinks() []Link { return l.Links[:l.NCore:l.NCore] }
 // HaloLinks returns the links with at least one halo endpoint.
 func (l *List) HaloLinks() []Link { return l.Links[l.NCore:] }
 
+// MeanDist returns the mean |I-J| across the list, 0 for an empty one.
+func (l *List) MeanDist() float64 {
+	if len(l.Links) == 0 {
+		return 0
+	}
+	return float64(l.DistSum) / float64(len(l.Links))
+}
+
 // ListBuffer owns the reusable storage for link-list construction: the
-// core/halo staging areas and the final list's backing array. A caller
-// that rebuilds lists repeatedly holds one ListBuffer per grid and
-// passes it to BuildLinksInto; after the first few rebuilds the
-// construction is allocation-free. The List returned by BuildLinksInto
-// (and its Links backing) is owned by the buffer and is invalidated by
-// the next BuildLinksInto call on the same buffer.
+// final list's backing array, into which core links are emitted
+// directly, and the staging area of the halo links, which are appended
+// behind them when the build ends. A caller that rebuilds lists
+// repeatedly holds one ListBuffer per grid and passes it to
+// BuildLinksInto; after the first few rebuilds the construction is
+// allocation-free. The List returned by BuildLinksInto (and its Links
+// backing) is owned by the buffer and is invalidated by the next
+// BuildLinksInto call on the same buffer.
 type ListBuffer struct {
-	core, halo []Link
-	list       List
+	halo []Link
+	list List
 }
 
-// linkBuilder accumulates candidate pairs into core/halo staging
-// slices. It is a plain struct with pointer-receiver methods (rather
-// than a closure) so the hot rebuild path does not allocate.
+// build is what one list construction fixes for every thread that
+// works on it.
+type build struct {
+	pos   *geom.Coords
+	nCore int32
+	rc2   float64
+	box   geom.Box
+
+	// The cell-sorted view the sweep reads (see sweep.go): x[k][p] and
+	// idx[p] are the coordinates and the store index of the particle in
+	// sorted slot p, nHalo[c] the number of halo copies in cell c. With
+	// nHalo nil there is no halo and x is the caller's storage;
+	// otherwise both are grid scratch that gatherCells fills. sweep is
+	// false for the grids the generic loop serves.
+	sweep bool
+	x     [geom.MaxD][]float64
+	idx   []int32
+	nHalo []int32
+	shift [geom.MaxD]float64 // box length to add on a leg that wraps this dimension, 0 for none
+	image bool               // apply the general minimum image to every pair
+}
+
+// linkBuilder emits one thread's share of a build: core links into
+// core[:nc], halo links into halo[:nh], both slices held at their full
+// capacity so the sweep can store first and advance the cursor after.
+// It is a plain struct with pointer-receiver methods (rather than a
+// closure) so the hot rebuild path does not allocate.
 type linkBuilder struct {
-	pos    *geom.Coords
-	nCore  int32
-	rc2    float64
-	box    geom.Box
-	core   []Link
-	halo   []Link
-	checks int64
+	build
+	g          *Grid
+	core, halo []Link
+	nc, nh     int
+	checks     int64
+	dist       int64
+	_          [64]byte // the threads' builders sit in one slice; keep their cursors on separate cache lines
 }
 
-// add distance-tests the candidate pair (i, j) and stages it as a core
+// open points the builder at buf's storage, sized for the list buf held
+// last plus an eighth: a bed that compacts from rebuild to rebuild then
+// grows its list without a copy.
+func (lb *linkBuilder) open(buf *ListBuffer) {
+	lb.core = buf.list.Links[:cap(buf.list.Links)]
+	lb.halo = buf.halo[:cap(buf.halo)]
+	lb.nc, lb.nh, lb.checks, lb.dist = 0, 0, 0, 0
+	if want := len(buf.list.Links) + len(buf.list.Links)/8; want > len(lb.core) {
+		lb.core = make([]Link, want)
+	}
+}
+
+// close hands the emitted links back to buf: the core links as its
+// list, the halo links still in staging.
+func (lb *linkBuilder) close(buf *ListBuffer) {
+	buf.list = List{Links: lb.core[:lb.nc], NCore: lb.nc, DistSum: lb.dist}
+	buf.halo = lb.halo[:lb.nh]
+}
+
+// list returns the halo or the core list and its cursor, with room for
+// n more links behind the cursor.
+func (lb *linkBuilder) list(toHalo bool, n int) (out *[]Link, used *int) {
+	out, used = &lb.core, &lb.nc
+	if toHalo {
+		out, used = &lb.halo, &lb.nh
+	}
+	if *used+n > len(*out) {
+		*out = growLinks(*out, *used, n)
+	}
+	return out, used
+}
+
+// growLinks returns a copy of buf[:used] with room for at least n more
+// links, at least doubled.
+func growLinks(buf []Link, used, n int) []Link {
+	out := make([]Link, max(used+n, 2*len(buf), 64))
+	copy(out, buf[:used])
+	return out
+}
+
+// add distance-tests the candidate pair (i, j) and emits it as a core
 // or halo link. Halo-halo pairs are excluded: forces on halo particles
 // are never used (each block updates only its core), and every
 // halo-halo pair is some block's core-halo or core-core pair, so
-// including them would double work and double-count energy.
+// including them would double work and double-count energy. Links are
+// stored lower index first, which for a halo link is core first (core
+// indices lie below nCore, halo indices at or above it), so the force
+// loop can update F[I] unconditionally.
+//
+// This is the generic per-pair path: it serves one-dimensional grids
+// and the degenerate all-pairs box. Every other grid goes through the
+// sweep, which emits the same links in the same order.
 func (lb *linkBuilder) add(i, j int32) {
 	if i >= lb.nCore && j >= lb.nCore {
 		return // halo-halo: some neighbouring block owns this pair
@@ -76,26 +162,19 @@ func (lb *linkBuilder) add(i, j int32) {
 	if lb.box.Dist2At(lb.pos, i, j) >= lb.rc2 {
 		return
 	}
-	if i >= lb.nCore || j >= lb.nCore {
-		// Orient halo links core-first so the force loop can
-		// update F[I] unconditionally.
-		if i >= lb.nCore {
-			i, j = j, i
-		}
-		lb.halo = append(lb.halo, Link{i, j})
-	} else {
-		if i > j {
-			i, j = j, i
-		}
-		lb.core = append(lb.core, Link{i, j})
-	}
+	lo, hi := min(i, j), max(i, j)
+	out, n := lb.list(hi >= lb.nCore, 1)
+	(*out)[*n] = Link{lo, hi}
+	*n++
+	lb.dist += int64(hi - lo)
 }
 
-// addCellPairs stages every candidate pair of cell c: intra-cell pairs
-// ("links internal to a cell originate from the lowest-numbered
-// particle") and inter-cell pairs over the half stencil ("those between
-// cells [originate] from the lowest-numbered cell").
-func (g *Grid) addCellPairs(lb *linkBuilder, c int32, stencil [][geom.MaxD]int) {
+// addCellPairs emits every candidate pair of cell c through add:
+// intra-cell pairs ("links internal to a cell originate from the
+// lowest-numbered particle") and inter-cell pairs over the half stencil
+// ("those between cells [originate] from the lowest-numbered cell").
+// The sweep walks cells, stencil legs and particles in this order.
+func (g *Grid) addCellPairs(lb *linkBuilder, c int32) {
 	ps := g.CellParticles(c)
 	for a := 0; a < len(ps); a++ {
 		for b := a + 1; b < len(ps); b++ {
@@ -103,29 +182,10 @@ func (g *Grid) addCellPairs(lb *linkBuilder, c int32, stencil [][geom.MaxD]int) 
 		}
 	}
 	cc := g.coords(c)
-	for _, off := range stencil {
-		var nb [geom.MaxD]int
-		ok := true
-		for i := 0; i < g.D; i++ {
-			v := cc[i] + off[i]
-			if g.Wrap {
-				if v < 0 {
-					v += g.N[i]
-				} else if v >= g.N[i] {
-					v -= g.N[i]
-				}
-			} else if v < 0 || v >= g.N[i] {
-				ok = false
-				break
-			}
-			nb[i] = v
-		}
-		if !ok {
-			continue
-		}
-		c2 := g.flatten(nb)
-		if c2 == c {
-			continue // wrapped onto itself (cannot happen off the degenerate path, but cheap to guard)
+	for _, off := range g.stencil {
+		c2, _, ok := g.neighbour(cc, off)
+		if !ok || c2 == c {
+			continue // c2 == c: wrapped onto itself (cannot happen off the degenerate path, but cheap to guard)
 		}
 		qs := g.CellParticles(c2)
 		for _, i := range ps {
@@ -136,8 +196,45 @@ func (g *Grid) addCellPairs(lb *linkBuilder, c int32, stencil [][geom.MaxD]int) 
 	}
 }
 
+// neighbour returns the cell at offset off from the cell with
+// coordinates cc and, per dimension, whether the step wrapped around
+// the region downwards (-1) or upwards (+1). ok is false when the
+// neighbour lies outside a grid that does not wrap.
+func (g *Grid) neighbour(cc, off [geom.MaxD]int) (c2 int32, wrapped [geom.MaxD]int, ok bool) {
+	idx := 0
+	for i := 0; i < g.D; i++ {
+		v := cc[i] + off[i]
+		if v < 0 || v >= g.N[i] {
+			if !g.Wrap {
+				return 0, wrapped, false
+			}
+			if v < 0 {
+				v += g.N[i]
+				wrapped[i] = -1
+			} else {
+				v -= g.N[i]
+				wrapped[i] = 1
+			}
+		}
+		idx = idx*g.N[i] + v
+	}
+	return int32(idx), wrapped, true
+}
+
+// cells emits the pairs of the cells [clo, chi).
+func (lb *linkBuilder) cells(clo, chi int32) {
+	if lb.sweep {
+		lb.sweepCells(clo, chi)
+		return
+	}
+	for c := clo; c < chi; c++ {
+		lb.g.addCellPairs(lb, c)
+	}
+}
+
 // BuildLinks constructs the pair list for the first n entries of pos
-// using the grid's binning (Bin must have been called with the same n).
+// using the grid's binning (Bin must have been called with the same n
+// on the same positions, which must lie inside the gridded region).
 // Pairs are kept when their squared separation under box is below rc2.
 // Particles with index >= nCore are halo copies; pass nCore == n when
 // there is no halo. Counters may be nil.
@@ -151,19 +248,15 @@ func (g *Grid) BuildLinks(pos *geom.Coords, n, nCore int, rc2 float64, box geom.
 // BuildLinksInto is BuildLinks building into caller-owned reused
 // storage. The returned List (and its Links slice) is backed by buf and
 // stays valid until the next BuildLinksInto on the same buffer. The
-// list's backing array is distinct from the core/halo staging areas, so
+// list's backing array is distinct from the halo staging area, so
 // retaining CoreLinks/HaloLinks sub-slices can never alias the staging
-// buffers of a later build.
+// buffer of a later build.
 func (g *Grid) BuildLinksInto(buf *ListBuffer, pos *geom.Coords, n, nCore int, rc2 float64, box geom.Box, tc *trace.Counters) *List {
-	lb := linkBuilder{
-		pos:   pos,
-		nCore: int32(nCore),
-		rc2:   rc2,
-		box:   box,
-		core:  buf.core[:0],
-		halo:  buf.halo[:0],
+	lb := linkBuilder{build: g.begin(pos, n, nCore, rc2, box), g: g}
+	if lb.nHalo != nil {
+		g.gatherCells(&lb.build, 0, int32(g.NumCells()))
 	}
-
+	lb.open(buf)
 	if g.degenerate {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -171,21 +264,14 @@ func (g *Grid) BuildLinksInto(buf *ListBuffer, pos *geom.Coords, n, nCore int, r
 			}
 		}
 	} else {
-		stencil := g.halfStencilCached()
-		nc := g.NumCells()
-		for c := int32(0); c < int32(nc); c++ {
-			g.addCellPairs(&lb, c, stencil)
-		}
+		lb.cells(0, int32(g.NumCells()))
 	}
-
-	buf.core, buf.halo = lb.core, lb.halo
+	lb.close(buf)
+	out := &buf.list
+	out.Links = append(out.Links, buf.halo...)
 	if tc != nil {
 		tc.PairChecks += lb.checks
 		tc.LinkBuilds++
 	}
-	out := &buf.list
-	out.NCore = len(lb.core)
-	out.Links = append(out.Links[:0], lb.core...)
-	out.Links = append(out.Links, lb.halo...)
 	return out
 }

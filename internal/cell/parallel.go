@@ -22,15 +22,26 @@ func (g *Grid) ensureThreadScratch(T, nc int) {
 	if len(g.perThread) < T {
 		g.perThread = append(g.perThread, make([][]int32, T-len(g.perThread))...)
 		g.curThread = append(g.curThread, make([][]int32, T-len(g.curThread))...)
+		g.unsorted = make([]bool, T)
 	}
 	for t := 0; t < T; t++ {
-		if cap(g.perThread[t]) < nc {
-			g.perThread[t] = make([]int32, nc)
-			g.curThread[t] = make([]int32, nc)
-		}
-		g.perThread[t] = g.perThread[t][:nc]
-		g.curThread[t] = g.curThread[t][:nc]
+		g.perThread[t] = roomFor(g.perThread[t], nc)
+		g.curThread[t] = roomFor(g.curThread[t], nc)
 	}
+}
+
+// poolBodies are the loop bodies the grid hands to a Pool, bound to the
+// grid once: a method value allocates its closure, so binding per call
+// would cost every warm rebuild an allocation per parallel loop.
+type poolBodies struct {
+	count, scatter, gather, sweep func(thread, lo, hi int)
+}
+
+func (g *Grid) poolBodies() *poolBodies {
+	if g.bodies.count == nil {
+		g.bodies = poolBodies{count: g.binCount, scatter: g.binScatter, gather: g.gatherChunk, sweep: g.sweepChunk}
+	}
+	return &g.bodies
 }
 
 // BinParallel is the thread-parallel Bin: the paper's Section 7
@@ -46,40 +57,29 @@ func (g *Grid) BinParallel(pos *geom.Coords, n int, pool Pool, tc *trace.Counter
 		g.Bin(pos, n, tc)
 		return
 	}
-	nc := g.NumCells()
-	if cap(g.cellOf) < n {
-		g.cellOf = make([]int32, n)
-	}
-	g.cellOf = g.cellOf[:n]
-	if cap(g.count) < nc {
-		g.count = make([]int32, nc)
-		g.start = make([]int32, nc+1)
-	}
-	g.count = g.count[:nc]
-	g.start = g.start[:nc+1]
-	if cap(g.order) < n {
-		g.order = make([]int32, n)
-	}
-	g.order = g.order[:n]
+	nc := g.sizeBins(n)
 	g.ensureThreadScratch(T, nc)
+	g.binPos = pos
+	bodies := g.poolBodies()
 
 	// Pass 1: classify particles and count per thread (the private
 	// arrays of the array-reduction method).
-	perThread := g.perThread
-	pool.ParallelFor(n, func(t, lo, hi int) {
-		counts := perThread[t]
-		for c := range counts {
-			counts[c] = 0
+	pool.ParallelFor(n, bodies.count)
+
+	// The order is the identity when the cell indices ascend: inside
+	// every thread's chunk, and from each chunk's last to the next
+	// non-empty chunk's first.
+	g.identity = true
+	for t := 0; t < T; t++ {
+		lo := t * n / T
+		if g.unsorted[t] || lo > 0 && lo < n && g.cellOf[lo] < g.cellOf[lo-1] {
+			g.identity = false
 		}
-		for i := lo; i < hi; i++ {
-			c := g.cellIndexAt(pos, i)
-			g.cellOf[i] = c
-			counts[c]++
-		}
-	})
+	}
 
 	// Merge: global counts and prefix starts (serial over cells; the
 	// cell count is far below the particle count).
+	perThread := g.perThread
 	for c := 0; c < nc; c++ {
 		var sum int32
 		for t := 0; t < T; t++ {
@@ -108,17 +108,38 @@ func (g *Grid) BinParallel(pos *geom.Coords, n int, pool Pool, tc *trace.Counter
 	}
 
 	// Pass 2: scatter into the cell-ordered list.
-	pool.ParallelFor(n, func(t, lo, hi int) {
-		cur := cursors[t]
-		for i := lo; i < hi; i++ {
-			c := g.cellOf[i]
-			g.order[cur[c]] = int32(i)
-			cur[c]++
-		}
-	})
+	pool.ParallelFor(n, bodies.scatter)
+	g.binPos = nil
 
 	if tc != nil {
 		tc.CellBinOps += int64(n)
+	}
+}
+
+// binCount is BinParallel's first pass over thread t's particles.
+func (g *Grid) binCount(t, lo, hi int) {
+	counts := g.perThread[t]
+	for c := range counts {
+		counts[c] = 0
+	}
+	prev, ascending := int32(0), true
+	for i := lo; i < hi; i++ {
+		c := g.cellIndexAt(g.binPos, i)
+		g.cellOf[i] = c
+		counts[c]++
+		ascending = ascending && c >= prev
+		prev = c
+	}
+	g.unsorted[t] = !ascending
+}
+
+// binScatter is BinParallel's second pass over thread t's particles.
+func (g *Grid) binScatter(t, lo, hi int) {
+	cur := g.curThread[t]
+	for i := lo; i < hi; i++ {
+		c := g.cellOf[i]
+		g.order[cur[c]] = int32(i)
+		cur[c]++
 	}
 }
 
@@ -126,57 +147,71 @@ func (g *Grid) BinParallel(pos *geom.Coords, n int, pool Pool, tc *trace.Counter
 // generation over cells". Each thread builds the links of a
 // contiguous cell range into private lists which are concatenated in
 // cell order, so the result matches the serial builder exactly
-// (including the core-links-first layout). The degenerate small-box
-// path stays serial. The per-thread staging areas and the merged
-// list's backing array are grid-owned and reused across rebuilds, so
-// steady-state rebuilds are allocation-free; the returned List is
-// invalidated by the next build on the same grid.
+// (including the core-links-first layout). One thread, and the
+// degenerate small-box path, build serially into the same grid-owned
+// storage. That storage — the returned list's backing array, which the
+// first thread emits into directly, and the other threads' staging — is
+// reused across rebuilds, so steady-state rebuilds are allocation-free;
+// the returned List is invalidated by the next BuildLinksParallel on
+// the same grid.
 func (g *Grid) BuildLinksParallel(pos *geom.Coords, n, nCore int, rc2 float64, box geom.Box, pool Pool, tc *trace.Counters) *List {
 	T := pool.Threads()
 	if T <= 1 || g.degenerate {
-		return g.BuildLinks(pos, n, nCore, rc2, box, tc)
+		return g.BuildLinksInto(&g.own, pos, n, nCore, rc2, box, tc)
 	}
 	nc := g.NumCells()
-	stencil := g.halfStencilCached()
-	if len(g.coreBufs) < T {
-		g.coreBufs = append(g.coreBufs, make([]ListBuffer, T-len(g.coreBufs))...)
+	if len(g.builders) < T {
+		g.builders = make([]linkBuilder, T)
+		g.threadBufs = append(g.threadBufs, make([]ListBuffer, T-len(g.threadBufs))...)
 	}
-	if len(g.checkBuf) < T {
-		g.checkBuf = append(g.checkBuf, make([]int64, T-len(g.checkBuf))...)
+	g.cur = g.begin(pos, n, nCore, rc2, box)
+	bodies := g.poolBodies()
+	if g.cur.nHalo != nil {
+		pool.ParallelFor(nc, bodies.gather)
 	}
-	bufs := g.coreBufs
-	checks := g.checkBuf[:T]
+	pool.ParallelFor(nc, bodies.sweep)
+	g.cur = build{}
 
-	pool.ParallelFor(nc, func(t, clo, chi int) {
-		lb := linkBuilder{
-			pos:   pos,
-			nCore: int32(nCore),
-			rc2:   rc2,
-			box:   box,
-			core:  bufs[t].core[:0],
-			halo:  bufs[t].halo[:0],
-		}
-		for c := int32(clo); c < int32(chi); c++ {
-			g.addCellPairs(&lb, c, stencil)
-		}
-		bufs[t].core, bufs[t].halo = lb.core, lb.halo
-		checks[t] = lb.checks
-	})
-
-	out := &g.mergedList
-	out.Links = out.Links[:0]
-	for t := 0; t < T; t++ {
-		out.Links = append(out.Links, bufs[t].core...)
+	out := &g.own.list
+	for t := 1; t < T; t++ {
+		out.Links = append(out.Links, g.threadBufs[t].list.Links...)
+		out.DistSum += g.threadBufs[t].list.DistSum
 	}
 	out.NCore = len(out.Links)
-	for t := 0; t < T; t++ {
-		out.Links = append(out.Links, bufs[t].halo...)
+	out.Links = append(out.Links, g.own.halo...)
+	for t := 1; t < T; t++ {
+		out.Links = append(out.Links, g.threadBufs[t].halo...)
 	}
 	if tc != nil {
-		for _, ch := range checks {
-			tc.PairChecks += ch
+		for t := 0; t < T; t++ {
+			tc.PairChecks += g.builders[t].checks
 		}
 		tc.LinkBuilds++
 	}
 	return out
+}
+
+// threadBuf returns the storage thread t emits into: the first thread's
+// core links open the final list, so they are emitted in place.
+func (g *Grid) threadBuf(t int) *ListBuffer {
+	if t == 0 {
+		return &g.own
+	}
+	return &g.threadBufs[t]
+}
+
+// gatherChunk is BuildLinksParallel's gather over thread t's cells.
+func (g *Grid) gatherChunk(t, clo, chi int) {
+	g.gatherCells(&g.cur, int32(clo), int32(chi))
+}
+
+// sweepChunk is BuildLinksParallel's link generation over thread t's
+// cells.
+func (g *Grid) sweepChunk(t, clo, chi int) {
+	lb := &g.builders[t]
+	lb.build, lb.g = g.cur, g
+	buf := g.threadBuf(t)
+	lb.open(buf)
+	lb.cells(int32(clo), int32(chi))
+	lb.close(buf)
 }

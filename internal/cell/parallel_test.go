@@ -27,6 +27,18 @@ func (p fakePool) ParallelFor(n int, body func(thread, lo, hi int)) {
 	}
 }
 
+// stepPool runs the Pool contract one chunk after the other on the
+// calling goroutine: the parallel builder's arithmetic without its
+// concurrency, and without allocating.
+type stepPool struct{ t int }
+
+func (p stepPool) Threads() int { return p.t }
+func (p stepPool) ParallelFor(n int, body func(thread, lo, hi int)) {
+	for t := 0; t < p.t; t++ {
+		body(t, t*n/p.t, (t+1)*n/p.t)
+	}
+}
+
 // TestBinParallelMatchesSerial: the parallel binning must reproduce
 // the serial counting sort exactly — same cell assignment and the
 // same cell-ordered index list.

@@ -223,3 +223,66 @@ func TestStepSteadyStateZeroAllocDistributed(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmRebuildZeroAllocDistributed is the cell layer's warm-rebuild
+// gate one level up: a whole Domain.Rebuild — migration, reorder, halo
+// construction, binning and link generation — allocates nothing once
+// warm, on one thread and, in hybrid, with the rank's team attached to
+// the domain so that every block is binned and built across it.
+func TestWarmRebuildZeroAllocDistributed(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		p, t int
+	}{
+		{"mpi", MPI, 2, 1},
+		{"hybrid-T1", Hybrid, 2, 1},
+		{"hybrid-T2", Hybrid, 1, 2},
+		{"hybrid-P2-T2", Hybrid, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := allocConfig(tc.mode)
+			cfg.P, cfg.T, cfg.BlocksPerProc = tc.p, tc.t, 2
+			l, err := decomp.NewLayout(cfg.Box(), cfg.RC(), cfg.P, cfg.BlocksPerProc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			const rebuilds = 10
+			var mallocs uint64
+			mp.Run(cfg.P, mp.ZeroNetwork{}, func(c *mp.Comm) {
+				r := newRankSim(&cfg, c, l)
+				defer r.close()
+				if (r.dm.Team != nil) != (cfg.T > 1) {
+					t.Errorf("rank %d: team attached to the domain: %v, T=%d", c.Rank(), r.dm.Team != nil, cfg.T)
+				}
+				r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
+				for i := 0; i < 3; i++ {
+					r.rebuild()
+				}
+				var m1, m2 runtime.MemStats
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.GC()
+					runtime.ReadMemStats(&m1)
+				}
+				c.Barrier()
+				for i := 0; i < rebuilds; i++ {
+					r.rebuild()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&m2)
+					mallocs = m2.Mallocs - m1.Mallocs
+				}
+				c.Barrier()
+			})
+			if avg := mallocs / rebuilds; avg != 0 {
+				t.Errorf("warm rebuild allocates %d times per rebuild, want 0", avg)
+			}
+		})
+	}
+}

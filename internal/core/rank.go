@@ -118,6 +118,11 @@ func newRankSim(cfg *Config, c *mp.Comm, l *decomp.Layout) *rankSim {
 	}
 	if cfg.Mode == Hybrid {
 		r.team = shm.NewTeam(cfg.T, shm.Costs{})
+		if cfg.T > 1 {
+			// The blocks' lists are built across the team; the virtual
+			// clock does not price link generation (DESIGN §17).
+			r.dm.Team = shm.UnmodelledPool{Team: r.team}
+		}
 		r.gate = shm.NewHaloGate()
 		if cfg.Watchdog > 0 {
 			r.gate.SetDeadline(cfg.Watchdog)
@@ -148,16 +153,9 @@ func (r *rankSim) rebuild() {
 	}
 
 	// Locality metric across this rank's blocks.
-	var sum int64
-	var n int64
+	var sum, n int64
 	for _, b := range r.dm.Blocks {
-		for _, l := range b.List.Links {
-			d := int64(l.I) - int64(l.J)
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
+		sum += b.List.DistSum
 		n += int64(len(b.List.Links))
 	}
 	if n > 0 {

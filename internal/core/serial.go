@@ -84,23 +84,6 @@ func (s *sharedSim) close() {
 	}
 }
 
-// listMeanDist returns the mean |i-j| across a link list, the
-// locality metric the cache model consumes.
-func listMeanDist(links []cell.Link) float64 {
-	if len(links) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, l := range links {
-		d := int64(l.I) - int64(l.J)
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return float64(sum) / float64(len(links))
-}
-
 // rebuild reconstructs the cell binning and link list, applying the
 // optional cache reordering, and rederives the platform costs for the
 // new locality.
@@ -111,18 +94,17 @@ func (s *sharedSim) rebuild() {
 	// as in the paper's Section 7 (binning over particles, link
 	// generation over cells); the results are bit-identical to the
 	// serial path.
-	bin := func() {
-		if s.team != nil {
-			s.grid.BinParallel(&s.ps.Pos, cfg.N, shm.TeamPool{Team: s.team}, &s.tc)
-		} else {
-			s.grid.Bin(&s.ps.Pos, cfg.N, &s.tc)
-		}
+	if s.team != nil {
+		s.grid.BinParallel(&s.ps.Pos, cfg.N, shm.TeamPool{Team: s.team}, &s.tc)
+	} else {
+		s.grid.Bin(&s.ps.Pos, cfg.N, &s.tc)
 	}
-	bin()
 	if cfg.Reorder {
+		// The permuted store is in cell order: the binning stands, and
+		// the builder reads the store in place.
 		s.ps.Permute(s.grid.Order())
 		s.tc.ReorderMoves += int64(cfg.N)
-		bin()
+		s.grid.Reordered()
 	}
 	if s.team != nil {
 		s.list = s.grid.BuildLinksParallel(&s.ps.Pos, cfg.N, cfg.N, rc*rc, s.box, shm.TeamPool{Team: s.team}, &s.tc)
@@ -132,7 +114,7 @@ func (s *sharedSim) rebuild() {
 	for k := 0; k < cfg.D; k++ {
 		s.ref[k] = append(s.ref[k][:0], s.ps.Pos[k][:cfg.N]...)
 	}
-	s.meanDist = listMeanDist(s.list.Links)
+	s.meanDist = s.list.MeanDist()
 	s.rebuilds++
 
 	if pf := cfg.Platform; pf != nil {

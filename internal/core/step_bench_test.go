@@ -7,17 +7,21 @@ import (
 	"hybriddem/internal/mp"
 )
 
+// steadyWarm is the warm-up of the benchmarks whose list never goes
+// stale: three steps, after which every step buffer has its size.
+const steadyWarm = 3
+
 // benchShared times the steady-state step of the Serial/OpenMP
-// drivers. ReportAllocs makes the zero-allocation property visible in
-// benchmark output (and in CI, which runs these with -benchtime=1x as
-// a smoke test).
-func benchShared(b *testing.B, cfg Config) {
+// drivers after warm unmeasured steps. ReportAllocs makes the
+// zero-allocation property visible in benchmark output (and in CI,
+// which runs these with -benchtime=1x as a smoke test).
+func benchShared(b *testing.B, cfg Config, warm int) {
 	s, err := newSharedSim(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.close()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < warm; i++ {
 		s.step()
 	}
 	b.ReportAllocs()
@@ -28,19 +32,19 @@ func benchShared(b *testing.B, cfg Config) {
 }
 
 func BenchmarkStepSerial(b *testing.B) {
-	benchShared(b, allocConfig(Serial))
+	benchShared(b, allocConfig(Serial), steadyWarm)
 }
 
 func BenchmarkStepOpenMP(b *testing.B) {
 	cfg := allocConfig(OpenMP)
 	cfg.T = 4
-	benchShared(b, cfg)
+	benchShared(b, cfg, steadyWarm)
 }
 
 // benchDistributed times the steady-state step of the MPI/Hybrid
 // drivers: every rank executes b.N lock-stepped iterations, so one
 // benchmark op is one global timestep.
-func benchDistributed(b *testing.B, cfg Config) {
+func benchDistributed(b *testing.B, cfg Config, warm int) {
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func benchDistributed(b *testing.B, cfg Config) {
 		defer r.close()
 		r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
 		r.rebuild()
-		for i := 0; i < 3; i++ {
+		for i := 0; i < warm; i++ {
 			r.step()
 		}
 		// Warm steps are collectively synchronised, so by the time
@@ -72,14 +76,14 @@ func benchDistributed(b *testing.B, cfg Config) {
 func BenchmarkStepMPI(b *testing.B) {
 	cfg := allocConfig(MPI)
 	cfg.P = 4
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
 }
 
 func BenchmarkStepHybrid(b *testing.B) {
 	cfg := allocConfig(Hybrid)
 	cfg.P = 2
 	cfg.T = 2
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
 }
 
 func BenchmarkStepHybridFused(b *testing.B) {
@@ -87,7 +91,7 @@ func BenchmarkStepHybridFused(b *testing.B) {
 	cfg.P = 2
 	cfg.T = 2
 	cfg.Fused = true
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
 }
 
 // BenchmarkStepMPIsm times the shared-window exchange; under
@@ -96,7 +100,7 @@ func BenchmarkStepHybridFused(b *testing.B) {
 func BenchmarkStepMPIsm(b *testing.B) {
 	cfg := allocConfig(MPIsm)
 	cfg.P = 4
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
 }
 
 // BenchmarkStepORB times the steady-state step under the adaptive ORB
@@ -109,7 +113,7 @@ func BenchmarkStepORB(b *testing.B) {
 	cfg.P = 4
 	cfg.BlocksPerProc = 4
 	cfg.Rebalance = RebalanceORB
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
 }
 
 // The NoOverlap variants pin the synchronous exchange so the
@@ -120,7 +124,7 @@ func BenchmarkStepMPINoOverlap(b *testing.B) {
 	cfg := allocConfig(MPI)
 	cfg.P = 4
 	cfg.Overlap = false
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
 }
 
 func BenchmarkStepHybridNoOverlap(b *testing.B) {
@@ -128,5 +132,51 @@ func BenchmarkStepHybridNoOverlap(b *testing.B) {
 	cfg.P = 2
 	cfg.T = 2
 	cfg.Overlap = false
-	benchDistributed(b, cfg)
+	benchDistributed(b, cfg, steadyWarm)
+}
+
+// benchBed is a small moving bed — hostbench's bed3d at a seventh of
+// its size: grains thrown about the bottom quarter of the box under
+// gravity exhaust the skin every dozen steps, so a benchmark loop over
+// it runs the whole rebuild (binning, the cache reorder, migration and
+// halo construction, link generation, conflict tables) as well as the
+// step.
+func benchBed(mode Mode) Config {
+	cfg := Default(3, 4000)
+	cfg.Mode = mode
+	cfg.FillHeight, cfg.Gravity, cfg.InitVel = 0.25, -20, 10
+	cfg.BlocksPerProc = 4
+	cfg.Warmup = 0
+	return cfg
+}
+
+// bedWarm steps take the bed through its first half-dozen rebuilds,
+// which grow the rebuild's buffers the way steadyWarm steps grow the
+// step's.
+const bedWarm = 80
+
+// The StepBed benchmarks time the step of a bed that rebuilds inside
+// the loop: one op is one timestep, a rebuild's cost spread over the
+// steps between two of them, and once warm 0 allocs/op.
+
+func BenchmarkStepBedSerial(b *testing.B) {
+	benchShared(b, benchBed(Serial), bedWarm)
+}
+
+func BenchmarkStepBedOpenMP(b *testing.B) {
+	cfg := benchBed(OpenMP)
+	cfg.T = 2
+	benchShared(b, cfg, bedWarm)
+}
+
+func BenchmarkStepBedMPI(b *testing.B) {
+	cfg := benchBed(MPI)
+	cfg.P = 2
+	benchDistributed(b, cfg, bedWarm)
+}
+
+func BenchmarkStepBedHybridT2(b *testing.B) {
+	cfg := benchBed(Hybrid)
+	cfg.T = 2
+	benchDistributed(b, cfg, bedWarm)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hybriddem/internal/cell"
 	"hybriddem/internal/geom"
 	"hybriddem/internal/mp"
 	"hybriddem/internal/trace"
@@ -55,6 +56,13 @@ type Domain struct {
 	// are actually only called when P > 1". It receives the payload
 	// byte count.
 	SelfMsgCost func(bytes int) float64
+
+	// Team, when non-nil, is the rank's thread team (hybrid, T > 1):
+	// every block's binning and link generation then run across it, the
+	// way the shared-memory driver's do. The virtual platform has never
+	// priced link generation, so the driver hands over a pool whose
+	// regions leave the team's clock and region count alone.
+	Team cell.Pool
 
 	// TC accumulates structural (non-message) event counts.
 	TC trace.Counters
@@ -319,11 +327,21 @@ func (dm *Domain) reorderCores() {
 		// here and the list build that follows (buildLists re-bins it
 		// over core+halo).
 		g := b.Grid
-		g.Bin(&b.PS.Pos, b.NCore, &dm.TC)
+		dm.bin(g, &b.PS.Pos, b.NCore)
 		order := g.Order()
 		b.PS.Permute(order)
 		dm.TC.ReorderMoves += int64(b.NCore)
 		dm.C.Compute(float64(b.NCore) * dm.PackCost)
+	}
+}
+
+// bin bins the first n particles of pos into g, across the team if the
+// rank has one.
+func (dm *Domain) bin(g *cell.Grid, pos *geom.Coords, n int) {
+	if dm.Team != nil {
+		g.BinParallel(pos, n, dm.Team, &dm.TC)
+	} else {
+		g.Bin(pos, n, &dm.TC)
 	}
 }
 
@@ -334,8 +352,12 @@ func (dm *Domain) buildLists() {
 	rc2 := rc * rc
 	for _, b := range dm.Blocks {
 		n := b.PS.Len()
-		b.Grid.Bin(&b.PS.Pos, n, &dm.TC)
-		b.List = b.Grid.BuildLinksInto(&b.listBuf, &b.PS.Pos, n, b.NCore, rc2, dm.plainBox, &dm.TC)
+		dm.bin(b.Grid, &b.PS.Pos, n)
+		if dm.Team != nil {
+			b.List = b.Grid.BuildLinksParallel(&b.PS.Pos, n, b.NCore, rc2, dm.plainBox, dm.Team, &dm.TC)
+		} else {
+			b.List = b.Grid.BuildLinksInto(&b.listBuf, &b.PS.Pos, n, b.NCore, rc2, dm.plainBox, &dm.TC)
+		}
 		for k := 0; k < dm.L.D; k++ {
 			b.RefPos[k] = append(b.RefPos[k][:0], b.PS.Pos[k][:b.NCore]...)
 		}

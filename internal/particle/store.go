@@ -137,12 +137,16 @@ func (s *Store) Permute(perm []int32) {
 	// component gathers independently: the permutation moves the same
 	// float64 values, so the reorder stays bit-exact by construction.
 	if cap(s.permID) < n {
+		// An eighth to spare: a block's core count creeps up from
+		// rebuild to rebuild as a bed settles, and an exact fit would
+		// reallocate all ten arrays every time.
+		room := n + n/8
 		for k := 0; k < s.D; k++ {
-			s.permPos[k] = make([]float64, n)
-			s.permVel[k] = make([]float64, n)
-			s.permFrc[k] = make([]float64, n)
+			s.permPos[k] = make([]float64, room)
+			s.permVel[k] = make([]float64, room)
+			s.permFrc[k] = make([]float64, room)
 		}
-		s.permID = make([]int32, n)
+		s.permID = make([]int32, room)
 	}
 	for k := 0; k < s.D; k++ {
 		pos := s.permPos[k][:n]

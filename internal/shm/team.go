@@ -158,6 +158,7 @@ type Team struct {
 	kInteg  integrateBody
 	kZeroB  zeroBlocksBody
 	kIntegB integrateBlocksBody
+	kFor    forBody
 }
 
 // NewTeam returns a team of t threads with the given cost constants.

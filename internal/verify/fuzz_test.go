@@ -25,6 +25,13 @@ func FuzzLinkList(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint16(50), int64(3))
 	f.Add(uint8(3), uint8(1), uint16(27), int64(4))
 	f.Add(uint8(4), uint8(0), uint16(90), int64(5))
+	// Periodic boxes of 3 and 4 cells a side, in both dimensions: the
+	// grids on which the builder's sweep must still apply the minimum
+	// image pair by pair, a wrapped leg or not.
+	f.Add(uint8(0), uint8(0), uint16(22), int64(6))  // d=2 n=30: 3 cells
+	f.Add(uint8(4), uint8(0), uint16(37), int64(7))  // d=2 n=45: 4 cells
+	f.Add(uint8(1), uint8(1), uint16(102), int64(8)) // d=3 n=110: 3 cells
+	f.Add(uint8(2), uint8(1), uint16(22), int64(9))  // d=3 n=30 dimers in the doubled box: 4 cells
 	f.Fuzz(func(t *testing.T, kindB, dB uint8, nB uint16, seed int64) {
 		k := Kinds[int(kindB)%len(Kinds)]
 		d := 2 + int(dB)%2
