@@ -183,6 +183,55 @@ func BenchmarkIntegrate3D(b *testing.B) {
 	}
 }
 
+// particleBench runs pass once per iteration over 10⁵ slowly moving
+// particles in a periodic 3-D box, under both wrap modes, and reports
+// ns/particle: the working set (nine arrays plus the reference, 9.6 MB)
+// is past L2, as in a real step.
+func particleBench(b *testing.B, pass func(ps *particle.Store, ref *geom.Coords, n int, dt float64, box geom.Box, mode force.WrapMode) float64) {
+	const n = 100_000
+	cfg := core.Default(3, n)
+	box := cfg.Box()
+	for _, m := range []struct {
+		name string
+		mode force.WrapMode
+	}{{"WrapGlobal", force.WrapGlobal}, {"WrapDeferred", force.WrapDeferred}} {
+		b.Run(m.name, func(b *testing.B) {
+			ps := particle.New(3, n)
+			particle.FillUniformVel(ps, n, box, 1, 0, rand.New(rand.NewSource(1)))
+			ref := ps.SnapshotPos()
+			sink := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += pass(ps, &ref, n, 1e-6, box, m.mode)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/particle")
+			if sink < 0 {
+				b.Fatal("negative energy")
+			}
+		})
+	}
+}
+
+// BenchmarkParticlePasses3D is the particle half of a step as three
+// exported passes: move, then sum the energy, then look for the
+// largest displacement.
+func BenchmarkParticlePasses3D(b *testing.B) {
+	particleBench(b, func(ps *particle.Store, ref *geom.Coords, n int, dt float64, box geom.Box, mode force.WrapMode) float64 {
+		force.Integrate(ps, n, dt, box, mode, nil)
+		return force.KineticEnergy(ps, n) + ps.MaxDisp2(ref, n, box)
+	})
+}
+
+// BenchmarkParticleSweep3D is the same work in the one walk the step
+// loops make.
+func BenchmarkParticleSweep3D(b *testing.B) {
+	particleBench(b, func(ps *particle.Store, ref *geom.Coords, n int, dt float64, box geom.Box, mode force.WrapMode) float64 {
+		e, m := force.Sweep(ps, ref, 0, n, dt, box, mode, nil)
+		return e + m
+	})
+}
+
 func BenchmarkConflictTableBuild(b *testing.B) {
 	ps, list, _, _ := benchSystem(b, 3, 50_000, 1.5)
 	b.ResetTimer()

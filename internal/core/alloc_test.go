@@ -132,6 +132,19 @@ func TestStepSteadyStateZeroAllocDistributed(t *testing.T) {
 			cfg.Fused = true
 			return cfg
 		}},
+		// hostbench's two hybrid shapes: ranks with a team of one (the
+		// sweep's region runs on the master alone) and one rank whose
+		// two threads share every block.
+		{"hybrid-2x1", func() Config {
+			cfg := allocConfig(Hybrid)
+			cfg.P, cfg.T = 2, 1
+			return cfg
+		}},
+		{"hybrid-1x2", func() Config {
+			cfg := allocConfig(Hybrid)
+			cfg.P, cfg.T, cfg.BlocksPerProc = 1, 2, 2
+			return cfg
+		}},
 		// Synchronous-exchange variants: the default cases above run
 		// the split-phase path (Overlap is on in Default), these pin
 		// the legacy path so neither protocol regresses.

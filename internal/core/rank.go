@@ -227,7 +227,7 @@ func (r *rankSim) refreshBlockViews() {
 	}
 	r.cores = r.cores[:nb]
 	for i, b := range r.dm.Blocks {
-		*r.stores[i] = shm.BlockStore{PS: b.PS, NCore: b.NCore}
+		*r.stores[i] = shm.BlockStore{PS: b.PS, NCore: b.NCore, Ref: &b.RefPos}
 		r.cores[i] = b.NCore
 	}
 }
@@ -335,7 +335,7 @@ func (r *rankSim) stepSync() float64 {
 
 	// Update phase: integrate core particles of every block.
 	u0 := r.clock()
-	ekin := r.integrate(box)
+	ekin, moved := r.integrate(box)
 	r.syncClocks()
 	r.updateTime += r.clock() - u0
 	r.span("update", u0, r.clock())
@@ -361,7 +361,7 @@ func (r *rankSim) stepSync() float64 {
 
 	// Validity check + rebuild live outside the timed window.
 	b0 := r.clock()
-	if !r.dm.ListsValid(cfg.Skin()) {
+	if !r.dm.DisplacementValid(moved, cfg.Skin()) {
 		r.rebuild()
 		r.syncClocks()
 		r.span("rebuild", b0, r.clock())
@@ -402,7 +402,7 @@ func (r *rankSim) stepOverlap() float64 {
 
 	// Update phase: integrate core particles of every block.
 	u0 := r.clock()
-	ekin := r.integrate(box)
+	ekin, moved := r.integrate(box)
 	r.syncClocks()
 	r.updateTime += r.clock() - u0
 	r.span("update", u0, r.clock())
@@ -415,7 +415,7 @@ func (r *rankSim) stepOverlap() float64 {
 	e0 := r.clock()
 	r.energy[0], r.energy[1] = epot, ekin
 	eReq := r.c.IAllreduceInPlace(r.energy[:], mp.Sum)
-	r.vote[0] = dm.MaxCoreDisp2()
+	r.vote[0] = moved
 	vReq := r.c.IAllreduceInPlace(r.vote[:], mp.Max)
 	eReq.Wait()
 	r.epot, r.ekin = r.energy[0], r.energy[1]
@@ -426,7 +426,7 @@ func (r *rankSim) stepOverlap() float64 {
 	elapsed := r.clock() - t0
 
 	// The rebuild vote completes outside the timed window, exactly
-	// like stepSync's ListsValid.
+	// like stepSync's validity check.
 	b0 := r.clock()
 	vReq.Wait()
 	r.syncClocks()
@@ -627,25 +627,24 @@ func (r *rankSim) accountHybridOverlap(c0, c1, d0, d1, fEnd float64) {
 	}
 }
 
-// integrate advances every block's core particles and returns the
-// rank's kinetic energy.
-func (r *rankSim) integrate(box geom.Box) float64 {
+// integrate sweeps every block's core particles — kick, drift, kinetic
+// energy and displacement from the block's reference positions in one
+// walk, across the team inside one region in hybrid mode — and returns
+// the rank's kinetic energy, summed block by block, and its largest
+// squared displacement since the last rebuild.
+func (r *rankSim) integrate(box geom.Box) (ekin, moved float64) {
 	cfg := r.cfg
 	dm := r.dm
-	ekin := 0.0
-	if r.team == nil {
-		for _, b := range dm.Blocks {
-			force.Integrate(b.PS, b.NCore, cfg.Dt, box, force.WrapDeferred, &dm.TC)
-			r.c.Compute(float64(b.NCore) * r.partCost)
-			ekin += force.KineticEnergy(b.PS, b.NCore)
-		}
-	} else {
-		shm.IntegrateAllBlocks(r.team, r.stores, r.cores, cfg.Dt, box, force.WrapDeferred)
-		for _, b := range dm.Blocks {
-			ekin += force.KineticEnergy(b.PS, b.NCore)
-		}
+	if r.team != nil {
+		return shm.SweepAllBlocks(r.team, r.stores, r.cores, cfg.Dt, box, force.WrapDeferred)
 	}
-	return ekin
+	for _, b := range dm.Blocks {
+		e, m := force.Sweep(b.PS, &b.RefPos, 0, b.NCore, cfg.Dt, box, force.WrapDeferred, &dm.TC)
+		r.c.Compute(float64(b.NCore) * r.partCost)
+		ekin += e
+		moved = max(moved, m)
+	}
+	return ekin, moved
 }
 
 func (r *rankSim) applyGravityBlocks() {

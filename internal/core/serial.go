@@ -23,6 +23,7 @@ type sharedSim struct {
 	list    *cell.List
 	listBuf cell.ListBuffer // serial-path link storage, reused across rebuilds
 	ref     geom.Coords     // position snapshot at last rebuild, reused
+	perm    []int32         // canonicalise's inverse of the ID array, reused
 
 	team *shm.Team // nil in Serial mode
 	upd  *shm.Updater
@@ -183,15 +184,17 @@ func (s *sharedSim) step() float64 {
 	s.forceTime += s.nowClock() - f0
 	s.span("force", f0, s.nowClock())
 
-	// Update phase.
+	// Update phase: one sweep moves the particles, sums the kinetic
+	// energy and measures the displacement the validity check below
+	// needs — across the team in OpenMP mode, inside the one region.
 	u0 := s.nowClock()
+	var moved float64
 	if s.team == nil {
-		force.Integrate(s.ps, cfg.N, cfg.Dt, s.box, force.WrapGlobal, &s.tc)
+		s.ekin, moved = force.Sweep(s.ps, &s.ref, 0, cfg.N, cfg.Dt, s.box, force.WrapGlobal, &s.tc)
 		s.clock += float64(cfg.N) * s.partCost
 	} else {
-		shm.IntegrateParallel(s.team, s.ps, cfg.N, cfg.Dt, s.box, force.WrapGlobal)
+		s.ekin, moved = shm.SweepParallel(s.team, s.ps, &s.ref, cfg.N, cfg.Dt, s.box, force.WrapGlobal)
 	}
-	s.ekin = force.KineticEnergy(s.ps, cfg.N)
 	s.updateTime += s.nowClock() - u0
 	s.span("update", u0, s.nowClock())
 
@@ -200,7 +203,7 @@ func (s *sharedSim) step() float64 {
 	// List validity (outside the timed window, like the paper's
 	// excluded link generation).
 	skin := cfg.Skin()
-	if s.ps.MaxDisp2(&s.ref, cfg.N, s.box) >= skin*skin {
+	if moved >= skin*skin {
 		b0 := s.nowClock()
 		s.rebuild()
 		s.span("rebuild", b0, s.nowClock())
@@ -224,11 +227,13 @@ func (s *sharedSim) gather() (pos, vel []geom.Vec) {
 // builds it from an Init, and rebuilds: the session continues on the
 // bits of a run resumed from a checkpoint of this state.
 func (s *sharedSim) canonicalise() {
-	perm := make([]int32, s.cfg.N)
-	for i, id := range s.ps.ID[:s.cfg.N] {
-		perm[id] = int32(i)
+	if s.perm == nil {
+		s.perm = make([]int32, s.cfg.N)
 	}
-	s.ps.Permute(perm)
+	for i, id := range s.ps.ID[:s.cfg.N] {
+		s.perm[id] = int32(i)
+	}
+	s.ps.Permute(s.perm)
 	s.rebuild()
 }
 

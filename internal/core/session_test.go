@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hybriddem/internal/mp"
+	"hybriddem/internal/raceflag"
 	"hybriddem/internal/shm"
 )
 
@@ -181,6 +183,40 @@ func TestSupervisedRollbackReplaysSnapshotBoundaries(t *testing.T) {
 					t.Fatalf("%v every=%d: particle %d diverged after a rollback across snapshot boundaries", mode, snapEvery, i)
 				}
 			}
+		}
+	}
+}
+
+// TestCanonicaliseReusesScratch: returning the shared store to
+// particle-ID order at a snapshot boundary builds its permutation in
+// scratch the simulation keeps, so a warm boundary — permute, rebin,
+// rebuild the list — allocates no per-particle slice.
+func TestCanonicaliseReusesScratch(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, mode := range []Mode{Serial, OpenMP} {
+		cfg := Default(2, 5000)
+		cfg.Mode, cfg.InitVel = mode, 2
+		if mode == OpenMP {
+			cfg.T = 2
+		}
+		s, err := newSharedSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			s.step()
+		}
+		s.canonicalise() // the first boundary grows the scratch
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s.step()
+		s.canonicalise()
+		runtime.ReadMemStats(&m1)
+		s.close()
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= uint64(4*cfg.N) {
+			t.Errorf("%v: a warm boundary allocates %d bytes; one int32 per particle is %d", mode, grew, 4*cfg.N)
 		}
 	}
 }

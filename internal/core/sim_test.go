@@ -129,3 +129,48 @@ func TestHybridMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadEkinIsOrderedSumOfPartials: in the thread modes the kinetic
+// energy comes out of the sweep's region as one partial per thread,
+// added by the master in thread order. With a deterministic force
+// reduction (transpose) and the store left in ID order, an OpenMP run's
+// Result.Ekin at T=3 is therefore the same float on every one of
+// twenty runs, and exactly the sum, thread by thread, of the static
+// chunks' partial sums over the final velocities. A hybrid run repeats
+// to the bit as well.
+func TestThreadEkinIsOrderedSumOfPartials(t *testing.T) {
+	const iters, T, runs = 25, 3, 20
+	cfg := testConfig(3, 600)
+	cfg.Mode, cfg.T, cfg.Method, cfg.Reorder = OpenMP, T, shm.Transpose, false
+	first, err := Run(cfg, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for th := 0; th < T; th++ {
+		part := 0.0
+		for i := th * cfg.N / T; i < (th+1)*cfg.N/T; i++ { // the static schedule
+			v := first.Vel[i]
+			part += 0.5 * (v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
+		}
+		want += part
+	}
+	if first.Ekin != want {
+		t.Errorf("openmp T=%d: Ekin %.17g, thread-ordered sum of chunk partials %.17g", T, first.Ekin, want)
+	}
+
+	hyb := testConfig(3, 600)
+	hyb.Mode, hyb.P, hyb.T, hyb.BlocksPerProc, hyb.Method = Hybrid, 2, T, 2, shm.Transpose
+	firstHyb, err := Run(hyb, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < runs; run++ {
+		if res, err := Run(cfg, iters); err != nil || res.Ekin != first.Ekin {
+			t.Fatalf("openmp run %d: Ekin %.17g (%v), first run %.17g", run, res.Ekin, err, first.Ekin)
+		}
+		if res, err := Run(hyb, iters); err != nil || res.Ekin != firstHyb.Ekin {
+			t.Fatalf("hybrid run %d: Ekin %.17g (%v), first run %.17g", run, res.Ekin, err, firstHyb.Ekin)
+		}
+	}
+}

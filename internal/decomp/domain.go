@@ -259,8 +259,14 @@ func (dm *Domain) MaxCoreDisp2() float64 {
 // core particle has moved less than skin since the last rebuild. All
 // ranks receive the same answer.
 func (dm *Domain) ListsValid(skin float64) bool {
-	local := dm.MaxCoreDisp2()
-	global := dm.C.AllreduceScalar(local, mp.Max)
+	return dm.DisplacementValid(dm.MaxCoreDisp2(), skin)
+}
+
+// DisplacementValid is ListsValid for a caller that already holds the
+// rank-local maximum squared displacement (the step loop's particle
+// sweep measures it on the way): only the collective remains.
+func (dm *Domain) DisplacementValid(localMax2, skin float64) bool {
+	global := dm.C.AllreduceScalar(localMax2, mp.Max)
 	return global < skin*skin
 }
 

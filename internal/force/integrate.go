@@ -1,8 +1,6 @@
 package force
 
 import (
-	"math"
-
 	"hybriddem/internal/geom"
 	"hybriddem/internal/particle"
 	"hybriddem/internal/trace"
@@ -32,72 +30,12 @@ func Integrate(ps *particle.Store, nCore int, dt float64, box geom.Box, mode Wra
 	IntegrateRange(ps, 0, nCore, dt, box, mode, tc)
 }
 
-// IntegrateRange is Integrate restricted to particles [lo, hi); the
-// thread-parallel position update decomposes over particles with a
-// static schedule, so each thread calls this on its own chunk.
-//
-// The update runs component-major: each spatial component is a
-// kick-drift-fold sweep over three contiguous float64 slices. The
-// boundary handling of geom.Box.Wrap is replicated inline per
-// component — it is independent across components by construction, so
-// the sweep order change cannot move a bit.
+// IntegrateRange is Integrate restricted to particles [lo, hi): the
+// sweep without a reference, its energy and displacement dropped. The
+// step loops call Sweep; this remains for callers that only move
+// particles (examples, measurements, the benchmark's reference loops).
 func IntegrateRange(ps *particle.Store, lo, hi int, dt float64, box geom.Box, mode WrapMode, tc *trace.Counters) {
-	d := ps.D
-	reflect := box.BC == geom.Reflecting
-	wrapNow := mode == WrapGlobal || reflect
-	for k := 0; k < d; k++ {
-		pos := ps.Pos[k][lo:hi]
-		vel := ps.Vel[k][lo:hi]
-		frc := ps.Frc[k][lo:hi]
-		l := box.Len[k]
-		switch {
-		case !wrapNow:
-			for i := range pos {
-				vel[i] += frc[i] * dt
-				pos[i] += vel[i] * dt
-			}
-		case reflect:
-			period := 2 * l
-			for i := range pos {
-				vel[i] += frc[i] * dt
-				x := pos[i] + vel[i]*dt
-				// Fold into [0, 2l) with period 2l, then reflect the
-				// upper half; an odd number of reflections negates the
-				// velocity component.
-				x = math.Mod(x, period)
-				if x < 0 {
-					x += period
-				}
-				if x >= l {
-					x = period - x
-					vel[i] = -vel[i]
-				}
-				// Guard against x == l from rounding at the fold point.
-				if x >= l {
-					x = math.Nextafter(l, 0)
-				}
-				pos[i] = x
-			}
-		default: // periodic wrap
-			for i := range pos {
-				vel[i] += frc[i] * dt
-				x := pos[i] + vel[i]*dt
-				x = math.Mod(x, l)
-				if x < 0 {
-					x += l
-				}
-				// math.Mod can return exactly l for x slightly below 0
-				// due to rounding; fold once more to stay half-open.
-				if x >= l {
-					x -= l
-				}
-				pos[i] = x
-			}
-		}
-	}
-	if tc != nil {
-		tc.PosUpdates += int64(hi - lo)
-	}
+	Sweep(ps, nil, lo, hi, dt, box, mode, tc)
 }
 
 // ApplyGravity adds a constant acceleration g along axis (mass 1) to
@@ -111,7 +49,10 @@ func ApplyGravity(ps *particle.Store, nCore int, axis int, g float64) {
 }
 
 // KineticEnergy returns the total kinetic energy of the first n
-// particles (mass 1). The sum stays particle-major — each particle's
+// particles (mass 1). The step loops get this sum from Sweep, which
+// adds the same terms in the same order while it moves the particles;
+// this walk serves measurements and is the oracle the sweep is tested
+// against. The sum stays particle-major — each particle's
 // speed squared is assembled across components before entering the
 // total, in the exact association of Norm2 — so the value is
 // bit-identical to the array-of-vectors formulation.

@@ -88,23 +88,6 @@ func (s Spring) Pair(disp, relVel geom.Vec, d int) (fi geom.Vec, e float64, cont
 	return fi, epair, true
 }
 
-// halfLengths returns the minimum-image thresholds of box, one per
-// component: exactly Len[k]/2 for periodic boxes (the division by two
-// is exact, so comparing against the precomputed half is bit-identical
-// to comparing against l/2 inline) and +Inf otherwise, which disables
-// the image branches without a separate boundary-condition test in the
-// inner loop.
-func halfLengths(box geom.Box) (h geom.Vec) {
-	for k := 0; k < box.D; k++ {
-		if box.BC == geom.Periodic {
-			h[k] = box.Len[k] / 2
-		} else {
-			h[k] = math.Inf(1)
-		}
-	}
-	return h
-}
-
 // Sink says where a pair kernel's forces go. It is data, not a call:
 // the kernels keep their adds inline and branch on what the sink holds.
 //
@@ -216,7 +199,7 @@ func (s Spring) accumulate2(dst *Sink, ps *particle.Store, links []cell.Link, nC
 	x0, x1 := ps.Pos[0][:n], ps.Pos[1][:n]
 	v0, v1 := ps.Vel[0][:n], ps.Vel[1][:n]
 	f0, f1 := dst.Frc[0][:n], dst.Frc[1][:n]
-	h := halfLengths(box)
+	h := box.HalfLengths()
 	l0, l1 := box.Len[0], box.Len[1]
 	h0, h1 := h[0], h[1]
 	diam2 := s.Diameter * s.Diameter
@@ -311,7 +294,7 @@ func (s Spring) accumulate3(dst *Sink, ps *particle.Store, links []cell.Link, nC
 	x0, x1, x2 := ps.Pos[0][:n], ps.Pos[1][:n], ps.Pos[2][:n]
 	v0, v1, v2 := ps.Vel[0][:n], ps.Vel[1][:n], ps.Vel[2][:n]
 	f0, f1, f2 := dst.Frc[0][:n], dst.Frc[1][:n], dst.Frc[2][:n]
-	h := halfLengths(box)
+	h := box.HalfLengths()
 	l0, l1, l2 := box.Len[0], box.Len[1], box.Len[2]
 	h0, h1, h2 := h[0], h[1], h[2]
 	diam2 := s.Diameter * s.Diameter

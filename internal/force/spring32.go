@@ -88,15 +88,11 @@ func (s Spring) AccumulateF32(ps *particle.Store, links []cell.Link, nCore int, 
 	return epot * energyScale
 }
 
-// halfLengths32 is halfLengths in single precision: the minimum-image
-// threshold per component, +Inf when the box does not wrap.
+// halfLengths32 is geom.Box.HalfLengths in single precision (halving
+// commutes with the rounding, so the order of the two is immaterial).
 func halfLengths32(box geom.Box) (h [geom.MaxD]float32) {
-	for k := 0; k < box.D; k++ {
-		if box.BC == geom.Periodic {
-			h[k] = float32(box.Len[k]) / 2
-		} else {
-			h[k] = float32(math.Inf(1))
-		}
+	for k, v := range box.HalfLengths() {
+		h[k] = float32(v)
 	}
 	return h
 }

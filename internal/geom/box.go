@@ -123,6 +123,29 @@ func (b Box) Wrap(p Vec) (Vec, [MaxD]bool) {
 	return p, flip
 }
 
+// HalfLength returns the minimum-image threshold of component k:
+// exactly Len[k]/2 when the box is periodic (halving a float64 is
+// exact, so comparing against a stored half is bit-identical to
+// comparing against l/2 inline) and +Inf otherwise, which switches the
+// image branches off without a separate boundary-condition test. The
+// pair kernels, Dist2At, particle.Store.MaxDisp2 and the particle sweep
+// all take their threshold from here.
+func (b Box) HalfLength(k int) float64 {
+	if b.BC == Periodic {
+		return b.Len[k] / 2
+	}
+	return math.Inf(1)
+}
+
+// HalfLengths returns HalfLength for every active component, for a
+// kernel to hoist out of its loop.
+func (b Box) HalfLengths() (h Vec) {
+	for k := 0; k < b.D; k++ {
+		h[k] = b.HalfLength(k)
+	}
+	return h
+}
+
 // Disp returns the displacement from a to b honouring the boundary
 // condition: for Periodic boxes this is the minimum-image displacement,
 // otherwise the plain difference.

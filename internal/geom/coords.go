@@ -111,46 +111,14 @@ func (b Box) DispAt(c *Coords, i, j int32) Vec {
 // and the squares are summed in component order.
 func (b Box) Dist2At(c *Coords, i, j int32) float64 {
 	r2 := 0.0
-	if b.BC == Periodic {
-		for k := 0; k < b.D; k++ {
-			dx := c[k][j] - c[k][i]
-			l := b.Len[k]
-			if dx > l/2 {
-				dx -= l
-			} else if dx < -l/2 {
-				dx += l
-			}
-			r2 += dx * dx
+	for k := 0; k < b.D; k++ {
+		dx := c[k][j] - c[k][i]
+		if h := b.HalfLength(k); dx > h {
+			dx -= b.Len[k]
+		} else if dx < -h {
+			dx += b.Len[k]
 		}
-	} else {
-		for k := 0; k < b.D; k++ {
-			dx := c[k][j] - c[k][i]
-			r2 += dx * dx
-		}
-	}
-	return r2
-}
-
-// Dist2To returns the squared distance between vector i of a and
-// vector i of c, bit-identical to Dist2(a.At(i), c.At(i)).
-func (b Box) Dist2To(a, c *Coords, i int) float64 {
-	r2 := 0.0
-	if b.BC == Periodic {
-		for k := 0; k < b.D; k++ {
-			dx := c[k][i] - a[k][i]
-			l := b.Len[k]
-			if dx > l/2 {
-				dx -= l
-			} else if dx < -l/2 {
-				dx += l
-			}
-			r2 += dx * dx
-		}
-	} else {
-		for k := 0; k < b.D; k++ {
-			dx := c[k][i] - a[k][i]
-			r2 += dx * dx
-		}
+		r2 += dx * dx
 	}
 	return r2
 }

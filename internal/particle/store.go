@@ -179,11 +179,25 @@ func (s *Store) SnapshotPos() geom.Coords {
 
 // MaxDisp2 returns the maximum squared displacement of the first n
 // particles relative to ref, using box displacement (minimum image for
-// periodic boxes). ref must have at least n entries per component.
+// periodic boxes): per particle the squares of the imaged components,
+// summed in component order. ref must have at least n entries per
+// component. The step loops take this maximum from force.Sweep, which
+// measures it the same way as it moves the particles; this walk is the
+// oracle the sweep is tested against.
 func (s *Store) MaxDisp2(ref *geom.Coords, n int, box geom.Box) float64 {
+	h := box.HalfLengths()
 	maxd := 0.0
 	for i := 0; i < n; i++ {
-		d := box.Dist2To(ref, &s.Pos, i)
+		d := 0.0
+		for k := 0; k < box.D; k++ {
+			dx := s.Pos[k][i] - ref[k][i]
+			if dx > h[k] {
+				dx -= box.Len[k]
+			} else if dx < -h[k] {
+				dx += box.Len[k]
+			}
+			d += dx * dx
+		}
 		if d > maxd {
 			maxd = d
 		}

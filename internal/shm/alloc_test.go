@@ -9,7 +9,7 @@ import (
 
 // TestAccumulateSteadyStateZeroAlloc gates the tentpole property at
 // the shm layer: with a warmed team and updater, a full
-// zero-force + accumulate + integrate step allocates nothing, for
+// zero-force + accumulate + particle-sweep step allocates nothing, for
 // every protection method.
 func TestAccumulateSteadyStateZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
@@ -23,12 +23,13 @@ func TestAccumulateSteadyStateZeroAlloc(t *testing.T) {
 			defer tm.Close()
 			u := NewUpdater(m)
 			u.Prepare(list.Links, ps.Len(), n, T)
+			ref := ps.SnapshotPos()
 			step := func() {
 				ZeroForcesParallel(tm, ps, n)
 				u.Accumulate(tm, sp, ps, list.Links, list.NCore, n, box)
 				// dt = 0 keeps the configuration (and hence the link
 				// list) valid forever while still running the kernel.
-				IntegrateParallel(tm, ps, n, 0, box, force.WrapGlobal)
+				SweepParallel(tm, ps, &ref, n, 0, box, force.WrapGlobal)
 			}
 			for i := 0; i < 5; i++ {
 				step() // warm scratch, worker stacks, private arrays
@@ -53,9 +54,10 @@ func TestFusedAccumulateSteadyStateZeroAlloc(t *testing.T) {
 		{PS: psA, Links: listA.Links, NCoreLinks: listA.NCore, NCore: 200},
 		{PS: psB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: 150},
 	}
+	refA, refB := psA.SnapshotPos(), psB.SnapshotPos()
 	blocks := []*BlockStore{
-		{PS: psA, NCore: 200},
-		{PS: psB, NCore: 150},
+		{PS: psA, NCore: 200, Ref: &refA},
+		{PS: psB, NCore: 150, Ref: &refB},
 	}
 	cores := []int{200, 150}
 
@@ -66,7 +68,7 @@ func TestFusedAccumulateSteadyStateZeroAlloc(t *testing.T) {
 	step := func() {
 		ZeroForcesAllBlocks(tm, blocks)
 		fu.Accumulate(tm, sp, box)
-		IntegrateAllBlocks(tm, blocks, cores, 0, box, force.WrapGlobal)
+		SweepAllBlocks(tm, blocks, cores, 0, box, force.WrapGlobal)
 	}
 	for i := 0; i < 5; i++ {
 		step()

@@ -10,10 +10,13 @@ import (
 )
 
 // BlockStore pairs a block's particle store with its core count for
-// the whole-rank fused kernels.
+// the whole-rank fused kernels. Ref, when set, is the block's position
+// snapshot from the last list build, which SweepAllBlocks measures the
+// displacement against.
 type BlockStore struct {
 	PS    *particle.Store
 	NCore int
+	Ref   *geom.Coords
 }
 
 type zeroBlocksBody struct {
@@ -56,20 +59,33 @@ type integrateBlocksBody struct {
 func (b *integrateBlocksBody) RunThread(th *Thread) {
 	tm := th.team
 	total := 0
+	var p sweepPartial
 	for i, blk := range b.blocks {
 		lo, hi := chunk(b.cores[i], tm.T, th.ID)
-		force.IntegrateRange(blk.PS, lo, hi, b.dt, b.box, b.mode, &th.TC)
+		p.add(force.Sweep(blk.PS, blk.Ref, lo, hi, b.dt, b.box, b.mode, &th.TC))
 		total += hi - lo
 	}
+	tm.kPart[th.ID] = p
 	th.Compute(float64(total) * tm.Costs.PerParticle)
 }
 
-// IntegrateAllBlocks advances every block's core particles in a single
-// parallel region; chunks are disjoint so no synchronisation is needed
-// between blocks.
-func IntegrateAllBlocks(tm *Team, blocks []*BlockStore, cores []int, dt float64, box geom.Box, mode force.WrapMode) {
+// SweepAllBlocks runs force.Sweep over every block's core particles in
+// a single parallel region; chunks are disjoint so no synchronisation
+// is needed between blocks. A thread adds up its chunk of each block in
+// block order, the master the threads in thread order: the rank's
+// kinetic energy and its largest squared displacement from the blocks'
+// Ref snapshots. With one thread the energy is the block-by-block sum a
+// single-threaded rank makes.
+func SweepAllBlocks(tm *Team, blocks []*BlockStore, cores []int, dt float64, box geom.Box, mode force.WrapMode) (ekin, maxDisp2 float64) {
 	tm.kIntegB = integrateBlocksBody{blocks: blocks, cores: cores, dt: dt, box: box, mode: mode}
 	tm.RunRegion(&tm.kIntegB)
+	return tm.sweepResult()
+}
+
+// IntegrateAllBlocks advances every block's core particles in a single
+// parallel region: SweepAllBlocks with its results dropped.
+func IntegrateAllBlocks(tm *Team, blocks []*BlockStore, cores []int, dt float64, box geom.Box, mode force.WrapMode) {
+	SweepAllBlocks(tm, blocks, cores, dt, box, mode)
 }
 
 // FusedPiece is one block's contribution to the fused force loop.

@@ -159,6 +159,7 @@ type Team struct {
 	kZeroB  zeroBlocksBody
 	kIntegB integrateBlocksBody
 	kFor    forBody
+	kPart   []sweepPartial // per-thread results of the sweep regions
 }
 
 // NewTeam returns a team of t threads with the given cost constants.
@@ -171,6 +172,7 @@ func NewTeam(t int, costs Costs) *Team {
 	tm.doneC = sync.NewCond(&tm.runMu)
 	tm.threads = make([]*Thread, t)
 	tm.panics = make([]any, t)
+	tm.kPart = make([]sweepPartial, t)
 	for i := range tm.threads {
 		tm.threads[i] = &Thread{ID: i, team: tm}
 	}

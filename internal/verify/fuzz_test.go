@@ -1,12 +1,15 @@
 package verify
 
 import (
+	"math"
 	"testing"
 
 	"hybriddem/internal/cell"
 	"hybriddem/internal/core"
 	"hybriddem/internal/decomp"
+	"hybriddem/internal/force"
 	"hybriddem/internal/geom"
+	"hybriddem/internal/particle"
 	"hybriddem/internal/shm"
 )
 
@@ -140,6 +143,79 @@ func FuzzModeEquivalence(f *testing.F) {
 			if div, _ := Compare(box, base, tr, 0); div != nil {
 				t.Fatalf("%v seed=%d: mpi diverged: %s", k, seed, div)
 			}
+		}
+	})
+}
+
+// FuzzFold drives one particle through force.Sweep — kick, drift and
+// the boundary fold that calls math.Mod only for a coordinate outside
+// [0, l) — and checks it, bit for bit, against the arithmetic spelled
+// out with geom.Box.Wrap, which folds every coordinate through Mod:
+// position, velocity (negated after an odd number of reflections),
+// kinetic energy and the squared displacement from where it started.
+func FuzzFold(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(2), 0.5, 1.0, 0.0, 1.0, 1e-3)
+	f.Add(uint8(1), uint8(0), uint8(1), 0.999, 400.0, -3.0, 1.0, 1e-2)      // reflects once
+	f.Add(uint8(0), uint8(0), uint8(0), 0.0, -1e-14, 0.0, 0.63, 1e-3)       // a hair below zero: Mod's result rounds to l
+	f.Add(uint8(1), uint8(1), uint8(2), 0.3, 5.2e3, 0.0, 0.7, 1e-3)         // several box lengths, odd reflections
+	f.Add(uint8(0), uint8(1), uint8(2), 0.62, 30.0, 0.0, 0.63, 1e-3)        // deferred wrap: leaves the box
+	f.Add(uint8(0), uint8(0), uint8(1), 0.0, 0.0, 0.0, 2.1, 1e-3)           // at rest on the wall
+	f.Add(uint8(1), uint8(0), uint8(0), 1.0, 1e-13, 0.0, 1.0000000001, 1.0) // up against x == l
+	f.Fuzz(func(t *testing.T, bcB, modeB, dB uint8, x, v, frc, l, dt float64) {
+		for _, a := range []float64{x, v, frc, l, dt} {
+			if math.IsNaN(a) || math.IsInf(a, 0) {
+				t.Skip("not a number a run can hold")
+			}
+		}
+		if l <= 0 || math.IsInf(3*l, 0) {
+			t.Skip("not a box")
+		}
+		d := 1 + int(dB)%3
+		box := geom.Box{D: d, BC: geom.Boundary(bcB % 2)}
+		mode := force.WrapMode(modeB % 2)
+		ps := particle.New(d, 1)
+		var start geom.Vec
+		for k := 0; k < d; k++ {
+			box.Len[k] = l * float64(k+2) / 2
+			start[k] = x + float64(k)*l/4
+		}
+		ps.Append(start, geom.Vec{v, -v, v / 2}, 0)
+		for k := 0; k < d; k++ {
+			ps.Frc[k][0] = frc
+		}
+		ref := ps.SnapshotPos()
+
+		var wantV, drifted geom.Vec
+		for k := 0; k < d; k++ {
+			wantV[k] = ps.Vel[k][0] + frc*dt
+			drifted[k] = start[k] + wantV[k]*dt
+		}
+		wantX := drifted
+		if mode == force.WrapGlobal || box.BC == geom.Reflecting {
+			var flip [geom.MaxD]bool
+			wantX, flip = box.Wrap(drifted)
+			for k := 0; k < d; k++ {
+				if flip[k] {
+					wantV[k] = -wantV[k]
+				}
+			}
+		}
+		wantE := 0.5 * geom.Norm2(wantV, d)
+		wantMoved := math.Max(0, box.Dist2(start, wantX)) // a NaN distance is never the maximum
+
+		e, moved := force.Sweep(ps, &ref, 0, 1, dt, box, mode, nil)
+		same := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+		}
+		for k := 0; k < d; k++ {
+			if !same(ps.Pos[k][0], wantX[k]) || !same(ps.Vel[k][0], wantV[k]) {
+				t.Fatalf("%v mode %d component %d of %d: x=%v v=%v f=%v l=%v dt=%v: sweep (%.17g, %.17g), Wrap (%.17g, %.17g)",
+					box.BC, mode, k, d, start[k], v, frc, box.Len[k], dt, ps.Pos[k][0], ps.Vel[k][0], wantX[k], wantV[k])
+			}
+		}
+		if !same(e, wantE) || !same(moved, wantMoved) {
+			t.Fatalf("%v mode %d d=%d x=%v v=%v f=%v l=%v dt=%v: sweep (ekin %.17g, moved %.17g), want (%.17g, %.17g)",
+				box.BC, mode, d, x, v, frc, l, dt, e, moved, wantE, wantMoved)
 		}
 	})
 }
