@@ -9,12 +9,15 @@
 package hybriddem
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"strconv"
 	"testing"
 
 	"hybriddem/internal/bench"
 	"hybriddem/internal/cell"
+	"hybriddem/internal/checkpoint"
 	"hybriddem/internal/core"
 	"hybriddem/internal/force"
 	"hybriddem/internal/geom"
@@ -230,6 +233,57 @@ func BenchmarkParticleSweep3D(b *testing.B) {
 		e, m := force.Sweep(ps, ref, 0, n, dt, box, mode, nil)
 		return e + m
 	})
+}
+
+// checkpointBench builds the snapshot of 10⁵ free particles in three
+// dimensions — particleBench's bed, 4.8 MB of state — and its frame.
+func checkpointBench(b *testing.B) (*checkpoint.Snapshot, []byte) {
+	const n = 100_000
+	cfg := core.Default(3, n)
+	ps := particle.New(3, n)
+	particle.FillUniformVel(ps, n, cfg.Box(), 1, 0, rand.New(rand.NewSource(1)))
+	res := &core.Result{Pos: ps.Pos.Vecs(n, 3), Vel: ps.Vel.Vecs(n, 3)}
+	snap, err := checkpoint.FromResult(&cfg, res, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := checkpoint.Save(&frame, snap); err != nil {
+		b.Fatal(err)
+	}
+	return snap, frame.Bytes()
+}
+
+// BenchmarkCheckpointSave3D is the checkpoint encoder alone — layout,
+// checksum, no disk — per particle and per byte of frame. CI holds it
+// to a multiple of BenchmarkParticleSweep3D: writing a particle down
+// may cost a few times what moving it costs, not forty.
+func BenchmarkCheckpointSave3D(b *testing.B) {
+	snap, frame := checkpointBench(b)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := checkpoint.Save(io.Discard, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snap.N), "ns/particle")
+}
+
+// BenchmarkCheckpointLoad3D is the decoder on the same frame: read,
+// checksum, layout checks, state arrays.
+func BenchmarkCheckpointLoad3D(b *testing.B) {
+	snap, frame := checkpointBench(b)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := checkpoint.Load(bytes.NewReader(frame)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snap.N), "ns/particle")
 }
 
 func BenchmarkConflictTableBuild(b *testing.B) {

@@ -52,7 +52,7 @@ func TestRunVerifyFlag(t *testing.T) {
 }
 
 func TestRunCheckpointRoundTrip(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "state.gob")
+	ck := filepath.Join(t.TempDir(), "state.ck")
 	var out, errb bytes.Buffer
 	if code := run([]string{"-d", "2", "-n", "400", "-iters", "2", "-save", ck}, &out, &errb); code != 0 {
 		t.Fatalf("save exit %d: %s", code, errb.String())
@@ -83,9 +83,9 @@ func TestRunCheckpointRoundTrip(t *testing.T) {
 // requested trajectory.
 func TestRunResumeMatchesUnbrokenRun(t *testing.T) {
 	dir := t.TempDir()
-	full := filepath.Join(dir, "full.gob")
-	half := filepath.Join(dir, "half.gob")
-	resumed := filepath.Join(dir, "resumed.gob")
+	full := filepath.Join(dir, "full.ck")
+	half := filepath.Join(dir, "half.ck")
+	resumed := filepath.Join(dir, "resumed.ck")
 	base := []string{"-d", "2", "-n", "300", "-warmup", "1", "-vel", "1"}
 	runOK := func(extra ...string) string {
 		t.Helper()

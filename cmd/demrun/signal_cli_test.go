@@ -19,7 +19,7 @@ import (
 // resuming from it towards a larger cumulative -iters works.
 func TestRunInterruptSavesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	ck := filepath.Join(dir, "partial.gob")
+	ck := filepath.Join(dir, "partial.ck")
 
 	// The iteration count is far beyond what could finish before the
 	// signal lands; the armed channel guarantees the handler is

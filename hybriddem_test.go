@@ -89,7 +89,7 @@ func TestMeasureCheckpointExportThroughFacade(t *testing.T) {
 		t.Error("rdf shape")
 	}
 
-	ck := filepath.Join(dir, "s.gob")
+	ck := filepath.Join(dir, "s.ck")
 	if err := hybriddem.SaveCheckpoint(ck, &cfg, res, 10); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,14 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 
 	"hybriddem/internal/core"
@@ -54,8 +56,7 @@ type Snapshot struct {
 	// (decomp.ORBTree.Encode), nil/empty for static or LPT runs. It is
 	// advisory performance state, not physics: a resume that cannot use
 	// it (different rank count, strategy off) still reproduces the
-	// trajectory exactly. New field; snapshots written before it decode
-	// with the field empty.
+	// trajectory exactly.
 	ORBTree []byte
 
 	// Physical state indexed by particle ID, stored component-major to
@@ -132,14 +133,8 @@ func (s *Snapshot) Apply(cfg *core.Config) error {
 	case s.Bonds != nil && !s.Bonds.Equal(cfg.Spring.Bonds):
 		return fmt.Errorf("checkpoint: snapshot bond table does not match the config's")
 	}
-	// A decoded gob can carry ragged component slices; every populated
-	// component must hold exactly N values (and the gather below would
-	// otherwise index out of range on adversarial input).
-	for k := 0; k < s.D; k++ {
-		if len(s.Pos[k]) != s.N || len(s.Vel[k]) != s.N {
-			return fmt.Errorf("checkpoint: component %d holds %d positions and %d velocities for N=%d",
-				k, len(s.Pos[k]), len(s.Vel[k]), s.N)
-		}
+	if err := s.checkShape(); err != nil {
+		return err
 	}
 	if len(s.ORBTree) > 0 {
 		tree, err := decomp.DecodeTree(s.ORBTree)
@@ -152,89 +147,294 @@ func (s *Snapshot) Apply(cfg *core.Config) error {
 	return nil
 }
 
-// The on-disk format frames the gob payload so Load can tell a valid
-// checkpoint from a torn write or bit rot before handing bytes to the
-// decoder:
-//
-//	[8] magic "HYDEMCK1"
-//	[8] payload length, big-endian
-//	[8] FNV-1a over the payload, big-endian
-//	[n] gob-encoded Snapshot
-//
-// A file that is truncated anywhere — inside the header or the
-// payload — fails the length read; a file with any flipped bit fails
-// the checksum. Either way Load returns an error and never panics.
-var magic = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '1'}
-
-const headerLen = 24
-
-// maxPayload bounds the length field so a corrupted header cannot make
-// Load attempt a multi-terabyte allocation.
-const maxPayload = 1 << 33 // 8 GiB
-
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
+// checkShape rejects a hand-built snapshot the layout cannot hold or
+// Apply's gather would index out of range on: a dimension or count out
+// of range, or a populated component that does not hold exactly N
+// values.
+func (s *Snapshot) checkShape() error {
+	if s.D < 1 || s.D > geom.MaxD || s.N < 0 || s.Iters < 0 {
+		return fmt.Errorf("checkpoint: implausible snapshot D=%d N=%d Iters=%d", s.D, s.N, s.Iters)
 	}
-	return h
+	for k := 0; k < s.D; k++ {
+		if len(s.Pos[k]) != s.N || len(s.Vel[k]) != s.N {
+			return fmt.Errorf("checkpoint: component %d holds %d positions and %d velocities for N=%d",
+				k, len(s.Pos[k]), len(s.Vel[k]), s.N)
+		}
+	}
+	return nil
 }
 
-// Save writes the snapshot in the framed format.
+// The on-disk format is a checksummed frame around a fixed
+// little-endian layout (DESIGN.md §19 has the byte table):
+//
+//	[8]  magic "HYDEMCK2"
+//	[8]  payload length n
+//	[8]  CRC-32C (Castagnoli) of the payload, zero-extended
+//	[n]  payload:
+//	       12 × [8]  D, N, Iters, BC, Hertz (integers), L, Diameter,
+//	                 K, Damp, Dt, Gravity, FillHeight (float64 bits)
+//	       [8] t, [t]  ORBTree
+//	       [8] b, [b]  Bonds, as force.BondTable.GobEncode writes it (0: none)
+//	       D×N × [8]   Pos, component by component
+//	       D×N × [8]   Vel, component by component
+//
+// Load applies its checks in this order: magic, length bound, payload
+// read in full, checksum — and only then looks inside: D, N and the
+// two flags in range, blob lengths within the payload, and the state
+// arrays exactly filling what is left, all before it allocates a
+// float. A file truncated anywhere fails the header or payload read; a
+// flipped bit fails the magic, the length (as a truncation or a
+// checksum mismatch) or the checksum — CRC-32C detects every single-bit
+// error and every burst of up to 32 bits. Either way Load returns an
+// error and never panics.
+var magic = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '2'}
+
+// magicV1 opened the gob-encoded, FNV-checksummed frame this one
+// replaced. There is no reader for it: Load names it and gives up.
+var magicV1 = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '1'}
+
+const (
+	headerLen = 24
+	scalarLen = 12 * 8 // the fixed fields that open the payload
+
+	// maxPayload bounds the length field so a corrupted header cannot
+	// make Load attempt a multi-terabyte allocation.
+	maxPayload = 1 << 33 // 8 GiB
+
+	// readStep is the most Load allocates ahead of the bytes it has
+	// actually read: a header that lies about the length costs what the
+	// file holds, not what it claims.
+	readStep = 8 << 20
+
+	chunkLen = 64 << 10 // the encoder's staging buffer
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// chunks recycles the encoder's staging buffers, so that a warm Save
+// allocates nothing that grows with the payload.
+var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
+
+// encoder stages the payload through one chunk and hands each full
+// chunk to sink. The first error sticks and silences the rest.
+type encoder struct {
+	buf  *[chunkLen]byte
+	n    int
+	sink func([]byte) error
+	err  error
+}
+
+func (e *encoder) flush() {
+	if e.err == nil && e.n > 0 {
+		e.err = e.sink(e.buf[:e.n])
+	}
+	e.n = 0
+}
+
+func (e *encoder) u64(v uint64) {
+	if e.n+8 > chunkLen {
+		e.flush()
+	}
+	binary.LittleEndian.PutUint64(e.buf[e.n:], v)
+	e.n += 8
+}
+
+func (e *encoder) blob(b []byte) {
+	e.u64(uint64(len(b)))
+	for len(b) > 0 {
+		if e.n == chunkLen {
+			e.flush()
+		}
+		m := copy(e.buf[e.n:], b)
+		e.n, b = e.n+m, b[m:]
+	}
+}
+
+func (e *encoder) floats(xs []float64) {
+	for len(xs) > 0 {
+		if e.n+8 > chunkLen {
+			e.flush()
+		}
+		m := min(len(xs), (chunkLen-e.n)/8)
+		dst := e.buf[e.n : e.n+8*m]
+		for i, x := range xs[:m] {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+		}
+		e.n, xs = e.n+8*m, xs[m:]
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// payload streams the snapshot's payload to sink, chunk by chunk.
+func (s *Snapshot) payload(buf *[chunkLen]byte, bonds []byte, sink func([]byte) error) error {
+	e := encoder{buf: buf, sink: sink}
+	e.u64(uint64(s.D))
+	e.u64(uint64(s.N))
+	e.u64(uint64(s.Iters))
+	e.u64(uint64(s.BC))
+	e.u64(b2u(s.Hertz))
+	e.floats([]float64{s.L, s.Diameter, s.K, s.Damp, s.Dt, s.Gravity, s.FillHeight})
+	e.blob(s.ORBTree)
+	e.blob(bonds)
+	for _, c := range [...]*geom.Coords{&s.Pos, &s.Vel} {
+		for k := 0; k < s.D; k++ {
+			e.floats(c[k])
+		}
+	}
+	e.flush()
+	return e.err
+}
+
+// Save writes the snapshot in the framed format. The checksum leads
+// the payload it covers, so the payload is encoded twice through one
+// small buffer — once into the CRC, once into w — instead of once into
+// a buffer of its own size.
 func Save(w io.Writer, s *Snapshot) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := s.checkShape(); err != nil {
+		return err
+	}
+	var bonds []byte
+	if s.Bonds != nil {
+		var err error
+		if bonds, err = s.Bonds.GobEncode(); err != nil {
+			return fmt.Errorf("checkpoint: bond table: %w", err)
+		}
+	}
+	buf := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(buf)
+
+	var length, sum uint64
+	s.payload(buf, bonds, func(p []byte) error {
+		length += uint64(len(p))
+		sum = uint64(crc32.Update(uint32(sum), castagnoli, p))
+		return nil
+	})
+	// The first pass has measured the frame: a writer that can make
+	// room for it at once (a bytes.Buffer) need not grow into it.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(headerLen + int(length))
 	}
 	var hdr [headerLen]byte
 	copy(hdr[:8], magic[:])
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	binary.BigEndian.PutUint64(hdr[16:24], fnv1a(payload.Bytes()))
+	binary.LittleEndian.PutUint64(hdr[8:16], length)
+	binary.LittleEndian.PutUint64(hdr[16:24], sum)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	err := s.payload(buf, bonds, func(p []byte) error {
+		_, werr := w.Write(p)
+		return werr
+	})
+	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
 }
 
+// readPayload reads exactly n bytes, never allocating more than
+// readStep (or what it has read so far) ahead of the reader.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readStep))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if got += m; err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...)
+	}
+}
+
 // Load reads a snapshot written by Save. It validates the frame —
-// magic, length, checksum — before decoding, so torn writes and
+// magic, length, checksum — before it looks at the payload, and the
+// payload's own lengths before it allocates state, so torn writes and
 // corrupted bytes come back as errors, never panics or silently wrong
 // state.
 func Load(r io.Reader) (s *Snapshot, err error) {
+	// The bond table decodes through encoding/gob, whose decoder can
+	// panic on adversarial input; the checksum makes that input
+	// unlikely, this makes it an error.
+	defer func() {
+		if rec := recover(); rec != nil {
+			s, err = nil, fmt.Errorf("checkpoint: decode panic: %v", rec)
+		}
+	}()
 	var hdr [headerLen]byte
 	if _, rerr := io.ReadFull(r, hdr[:]); rerr != nil {
 		return nil, fmt.Errorf("checkpoint: short header: %w", rerr)
 	}
+	if bytes.Equal(hdr[:8], magicV1[:]) {
+		return nil, fmt.Errorf("checkpoint: magic %q is the gob-encoded format of earlier versions, which this version does not read; re-run from the original configuration", hdr[:8])
+	}
 	if !bytes.Equal(hdr[:8], magic[:]) {
 		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file?)", hdr[:8])
 	}
-	n := binary.BigEndian.Uint64(hdr[8:16])
-	if n > maxPayload {
+	n := binary.LittleEndian.Uint64(hdr[8:16])
+	if n > maxPayload || n < scalarLen+16 {
 		return nil, fmt.Errorf("checkpoint: implausible payload length %d (corrupt header)", n)
 	}
-	payload := make([]byte, n)
-	if _, rerr := io.ReadFull(r, payload); rerr != nil {
+	p, rerr := readPayload(r, int(n))
+	if rerr != nil {
 		return nil, fmt.Errorf("checkpoint: truncated payload: %w", rerr)
 	}
-	want := binary.BigEndian.Uint64(hdr[16:24])
-	if got := fnv1a(payload); got != want {
+	if want := binary.LittleEndian.Uint64(hdr[16:24]); uint64(crc32.Checksum(p, castagnoli)) != want {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch (file corrupted)")
 	}
-	// The checksum guards the gob stream, but a decoder panic on
-	// adversarial input must still surface as an error.
-	defer func() {
-		if p := recover(); p != nil {
-			s, err = nil, fmt.Errorf("checkpoint: decode panic: %v", p)
-		}
-	}()
-	var snap Snapshot
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); derr != nil {
-		return nil, fmt.Errorf("checkpoint: %w", derr)
+
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
+	f := func(i int) float64 { return math.Float64frombits(u(i)) }
+	d, np, iters, bc, hertz := u(0), u(1), u(2), u(3), u(4)
+	// Each state array holds d·np floats; bounding np by the payload
+	// length first keeps the product from overflowing.
+	if d < 1 || d > geom.MaxD || np > n/16 || iters > math.MaxInt || bc > uint64(geom.Reflecting) || hertz > 1 {
+		return nil, fmt.Errorf("checkpoint: implausible header fields D=%d N=%d Iters=%d BC=%d Hertz=%d", d, np, iters, bc, hertz)
 	}
-	return &snap, nil
+	snap := &Snapshot{
+		D: int(d), N: int(np), Iters: int(iters), BC: geom.Boundary(bc), Hertz: hertz == 1,
+		L: f(5), Diameter: f(6), K: f(7), Damp: f(8), Dt: f(9), Gravity: f(10), FillHeight: f(11),
+	}
+	p = p[scalarLen:]
+	var blobs [2][]byte // ORB tree, bond table
+	for i := range blobs {
+		if len(p) < 8 {
+			return nil, fmt.Errorf("checkpoint: payload ends inside the length of blob %d", i)
+		}
+		bl := binary.LittleEndian.Uint64(p)
+		if p = p[8:]; bl > uint64(len(p)) {
+			return nil, fmt.Errorf("checkpoint: blob %d claims %d bytes of the %d left", i, bl, len(p))
+		}
+		blobs[i], p = p[:bl], p[bl:]
+	}
+	if want := 2 * d * np * 8; uint64(len(p)) != want {
+		return nil, fmt.Errorf("checkpoint: %d bytes of state for D=%d N=%d, want %d", len(p), d, np, want)
+	}
+	if len(blobs[0]) > 0 {
+		snap.ORBTree = bytes.Clone(blobs[0])
+	}
+	if len(blobs[1]) > 0 {
+		snap.Bonds = new(force.BondTable)
+		if derr := snap.Bonds.GobDecode(blobs[1]); derr != nil {
+			return nil, fmt.Errorf("checkpoint: bond table: %w", derr)
+		}
+	}
+	for _, c := range [...]*geom.Coords{&snap.Pos, &snap.Vel} {
+		for k := 0; k < snap.D; k++ {
+			xs := make([]float64, snap.N)
+			for i := range xs {
+				xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+			}
+			c[k], p = xs, p[8*snap.N:]
+		}
+	}
+	return snap, nil
 }
 
 // SaveFile writes the snapshot to a file crash-safely: the bytes go to

@@ -51,7 +51,7 @@ func TestRoundTripFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, _ := FromResult(&cfg, res, 5)
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.ck")
 	if err := SaveFile(path, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRoundTripFile(t *testing.T) {
 	if !reflect.DeepEqual(snap, got) {
 		t.Error("file round trip changed data")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.ck")); err == nil {
 		t.Error("missing file loaded")
 	}
 }
@@ -191,7 +191,7 @@ func TestApplyValidation(t *testing.T) {
 }
 
 // TestSnapshotCapturesForceLaw: every force-law and integration
-// parameter must survive the gob round trip with a non-default value,
+// parameter must survive the round trip with a non-default value,
 // and a restoring configuration differing in that one parameter must
 // be rejected by Apply. A snapshot that validated only geometry would
 // happily resume a run under different physics.
@@ -323,7 +323,7 @@ func TestGrainsSaveResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !loaded.Bonds.Equal(first.Spring.Bonds) {
-		t.Fatal("bond table changed across the gob round trip")
+		t.Fatal("bond table changed across the round trip")
 	}
 
 	// Resume into a config that never built a table: the snapshot's

@@ -241,20 +241,26 @@ func TestStepSteadyStateZeroAllocDistributed(t *testing.T) {
 // gate one level up: a whole Domain.Rebuild — migration, reorder, halo
 // construction, binning and link generation — allocates nothing once
 // warm, on one thread and, in hybrid, with the rank's team attached to
-// the domain so that every block is binned and built across it.
+// the domain so that every block is binned and built across it. The
+// canonicalise rows hold the chunk boundary's rebuild — the same with
+// every core sorted back into particle-ID order first — to the same
+// zero: its tables and permutations are the Domain's.
 func TestWarmRebuildZeroAllocDistributed(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	for _, tc := range []struct {
-		name string
-		mode Mode
-		p, t int
+		name  string
+		mode  Mode
+		p, t  int
+		canon bool
 	}{
-		{"mpi", MPI, 2, 1},
-		{"hybrid-T1", Hybrid, 2, 1},
-		{"hybrid-T2", Hybrid, 1, 2},
-		{"hybrid-P2-T2", Hybrid, 2, 2},
+		{"mpi", MPI, 2, 1, false},
+		{"hybrid-T1", Hybrid, 2, 1, false},
+		{"hybrid-T2", Hybrid, 1, 2, false},
+		{"hybrid-P2-T2", Hybrid, 2, 2, false},
+		{"mpi-canonicalise", MPI, 2, 1, true},
+		{"hybrid-P2-T2-canonicalise", Hybrid, 2, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := allocConfig(tc.mode)
@@ -272,9 +278,13 @@ func TestWarmRebuildZeroAllocDistributed(t *testing.T) {
 				if (r.dm.Team != nil) != (cfg.T > 1) {
 					t.Errorf("rank %d: team attached to the domain: %v, T=%d", c.Rank(), r.dm.Team != nil, cfg.T)
 				}
+				rebuild := r.rebuild
+				if tc.canon {
+					rebuild = r.canonicalise
+				}
 				r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
 				for i := 0; i < 3; i++ {
-					r.rebuild()
+					rebuild()
 				}
 				var m1, m2 runtime.MemStats
 				c.Barrier()
@@ -284,7 +294,7 @@ func TestWarmRebuildZeroAllocDistributed(t *testing.T) {
 				}
 				c.Barrier()
 				for i := 0; i < rebuilds; i++ {
-					r.rebuild()
+					rebuild()
 				}
 				c.Barrier()
 				if c.Rank() == 0 {

@@ -38,6 +38,10 @@ type rankSim struct {
 
 	linkCost, contactCost, updCost, partCost float64
 
+	// gather's send buffers, kept between calls (ranks above 0).
+	gatherF []float64
+	gatherI []int32
+
 	tally
 }
 
@@ -141,8 +145,13 @@ func newRankSim(cfg *Config, c *mp.Comm, l *decomp.Layout) *rankSim {
 // rebuild runs the full list-invalidation sequence and rederives the
 // modelled costs for the new list's locality.
 func (r *rankSim) rebuild() {
+	r.dm.Rebuild(r.cfg.Reorder)
+	r.rebuilt()
+}
+
+// rebuilt is what the rank does once its domain has rebuilt.
+func (r *rankSim) rebuilt() {
 	cfg := r.cfg
-	r.dm.Rebuild(cfg.Reorder)
 	r.rebuilds++
 	if t0, t1, moved := r.dm.LastRebalance(); moved {
 		phase := "rebalance"
@@ -676,8 +685,8 @@ func (r *rankSim) offer(sink *snapCollector, iter int) { sink.offer(iter, r.dm) 
 
 // canonicalise: as sharedSim's, for the order Place builds per block.
 func (r *rankSim) canonicalise() {
-	r.dm.RestoreIDOrder(r.cfg.N)
-	r.rebuild()
+	r.dm.RebuildCanonical(r.cfg.N, r.cfg.Reorder)
+	r.rebuilt()
 }
 
 func (r *rankSim) report() part {
@@ -695,48 +704,76 @@ func (r *rankSim) report() part {
 const stateGatherTag = 1 << 28 // far above the exchange phases' tag space
 
 // gather collects every rank's core particles onto rank 0, indexed by
-// persistent particle ID, wrapping deferred periodic coordinates back
-// into the box. All ranks must call it; only rank 0 receives the
-// state (the others return nil slices).
+// persistent particle ID, with the deferred periodic wrap applied. All
+// ranks must call it; only rank 0 receives the state (the others
+// return nil slices).
+//
+// A sending rank's state travels as one message: the ids of its core
+// particles, block after block, and 2·D component streams of that
+// length — positions component by component, then velocities — copied
+// straight out of the blocks' component arrays into a buffer the rank
+// keeps. Coordinates go as they stand; rank 0 folds the few that lie
+// outside the box as it scatters them, and scatters its own blocks
+// from their stores without packing them.
 func (r *rankSim) gather() (pos, vel []geom.Vec) {
 	cfg, c := r.cfg, r.c
-	box := cfg.Box()
-	var f []float64
-	var ids []int32
-	for _, b := range r.dm.Blocks {
-		for i := 0; i < b.NCore; i++ {
-			p, _ := box.Wrap(b.PS.PosAt(i))
-			v := b.PS.VelAt(i)
-			for k := 0; k < cfg.D; k++ {
-				f = append(f, p[k])
-			}
-			for k := 0; k < cfg.D; k++ {
-				f = append(f, v[k])
-			}
-			ids = append(ids, b.PS.ID[i])
-		}
-	}
+	d := cfg.D
 	if c.Rank() != 0 {
+		n := r.dm.NumCore()
+		if cap(r.gatherI) < n {
+			// An eighth to spare: the rank's core count drifts with migration.
+			r.gatherF, r.gatherI = make([]float64, 2*d*(n+n/8)), make([]int32, n+n/8)
+		}
+		f, ids := r.gatherF[:2*d*n], r.gatherI[:n]
+		at := 0
+		for _, b := range r.dm.Blocks {
+			nb := b.NCore
+			copy(ids[at:], b.PS.ID[:nb])
+			for k := 0; k < d; k++ {
+				copy(f[k*n+at:], b.PS.Pos[k][:nb])
+				copy(f[(d+k)*n+at:], b.PS.Vel[k][:nb])
+			}
+			at += nb
+		}
 		c.Send(0, stateGatherTag, f, ids)
 		return nil, nil
 	}
+	box := cfg.Box()
 	pos = make([]geom.Vec, cfg.N)
 	vel = make([]geom.Vec, cfg.N)
-	fill := func(f []float64, ids []int32) {
-		per := 2 * cfg.D
-		for i, id := range ids {
-			for k := 0; k < cfg.D; k++ {
-				pos[id][k] = f[per*i+k]
-				vel[id][k] = f[per*i+cfg.D+k]
-			}
-		}
+	for _, b := range r.dm.Blocks {
+		scatterByID(pos, vel, &b.PS.Pos, &b.PS.Vel, b.PS.ID[:b.NCore], box)
 	}
-	fill(f, ids)
 	for src := 1; src < cfg.P; src++ {
-		rf, rids := c.Recv(src, stateGatherTag)
-		fill(rf, rids)
+		f, ids := c.Recv(src, stateGatherTag)
+		n := len(ids)
+		var p, v geom.Coords
+		for k := 0; k < d; k++ {
+			p[k], v[k] = f[k*n:(k+1)*n], f[(d+k)*n:(d+k+1)*n]
+		}
+		scatterByID(pos, vel, &p, &v, ids, box)
+		c.FreeBuffers(f, ids)
 	}
 	return pos, vel
+}
+
+// scatterByID writes particle i of the component streams p and v to
+// slot ids[i] of pos and vel, folding a coordinate into the box only
+// when it lies outside [0, L) — geom.Box.Fold's identity inside. One
+// walk over the particles: the slots are hit in no order, and a walk
+// per component would miss the cache on each of them D times.
+func scatterByID(pos, vel []geom.Vec, p, v *geom.Coords, ids []int32, box geom.Box) {
+	for i, id := range ids {
+		var x, w geom.Vec
+		for k := 0; k < box.D; k++ {
+			c := p[k][i]
+			if c < 0 || c >= box.Len[k] { // Fold's own test: Fold does not inline
+				c, _ = box.Fold(c, k)
+			}
+			x[k], w[k] = c, v[k][i]
+		}
+		pos[id], vel[id] = x, w
+	}
 }
 
 // world is the distributed modes' live engine: P rank goroutines inside
@@ -799,12 +836,11 @@ func (s *Sim) startWorld() {
 				// the rebuild below is an identity on the arrangement and the
 				// trajectory stays bit-identical, whichever rank owns the block.
 				for _, b := range r.dm.Blocks {
-					if snap := restore.blocks[b.ID]; snap != nil {
-						for i := range snap.ids {
-							b.PS.Append(snap.pos[i], snap.vel[i], snap.ids[i])
-						}
-						b.NCore = len(snap.ids)
+					snap := &restore.blocks[b.ID]
+					for i, id := range snap.ids {
+						b.PS.Append(snap.pos.At(i, cfg.D), snap.vel.At(i, cfg.D), id)
 					}
+					b.NCore = len(snap.ids)
 				}
 			case cfg.Init != nil:
 				for i := 0; i < cfg.N; i++ {

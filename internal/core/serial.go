@@ -216,10 +216,7 @@ func (s *sharedSim) gather() (pos, vel []geom.Vec) {
 	n := s.cfg.N
 	pos = make([]geom.Vec, n)
 	vel = make([]geom.Vec, n)
-	for i := 0; i < n; i++ {
-		pos[s.ps.ID[i]] = s.ps.PosAt(i)
-		vel[s.ps.ID[i]] = s.ps.VelAt(i)
-	}
+	scatterByID(pos, vel, &s.ps.Pos, &s.ps.Vel, s.ps.ID[:n], s.box)
 	return pos, vel
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"hybriddem/internal/decomp"
 	"hybriddem/internal/mp"
@@ -179,4 +180,55 @@ func BenchmarkStepBedHybridT2(b *testing.B) {
 	cfg := benchBed(Hybrid)
 	cfg.T = 2
 	benchDistributed(b, cfg, bedWarm)
+}
+
+// benchChunkBoundary times what a durable chunk costs the engine: a run
+// advanced through AdvanceTo with a save every second step — the
+// gather, the Snapshot and, before the next step, the return to
+// canonical order with its rebuild — against the same run unbroken,
+// per boundary crossed. The save keeps the gathered state in memory;
+// encoding and the disk are the checkpoint package's benchmarks.
+func benchChunkBoundary(b *testing.B, cfg Config) {
+	const iters, every = 12, 2
+	cfg.CollectState = true
+	var kept *Result
+	run := func(every int) time.Duration {
+		s, err := Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		start := time.Now()
+		if _, err := s.AdvanceTo(0, iters, every, func(res *Result, _ int) error { kept = res; return nil }); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	var chunked, unbroken time.Duration
+	for i := 0; i < b.N; i++ {
+		chunked += run(every)
+		unbroken += run(0)
+	}
+	if kept == nil || len(kept.Pos) != cfg.N {
+		b.Fatal("no state was saved")
+	}
+	boundaries := float64(b.N * (iters/every - 1))
+	b.ReportMetric(float64((chunked-unbroken).Microseconds())/1e3/boundaries, "ms/boundary")
+	b.ReportMetric(0, "ns/op") // two runs and two set-ups: not a quantity
+}
+
+// chunkBed is hostbench's uniform3d bed: 10⁵ particles at rest in three
+// dimensions, a list that never goes stale on its own.
+func chunkBed(mode Mode) Config {
+	cfg := Default(3, 100_000)
+	cfg.Mode, cfg.Seed, cfg.Warmup = mode, 1, 2
+	return cfg
+}
+
+func BenchmarkChunkBoundarySerial(b *testing.B) { benchChunkBoundary(b, chunkBed(Serial)) }
+
+func BenchmarkChunkBoundaryMPI(b *testing.B) {
+	cfg := chunkBed(MPI)
+	cfg.P = 2
+	benchChunkBoundary(b, cfg)
 }

@@ -12,21 +12,24 @@ import (
 
 // blockSnap is one block's core particles in canonical (post-rebuild)
 // store order: positions wrapped into the box, particles in their home
-// block, cores cell-ordered. Restoring these arrays verbatim and
-// running a rebuild reproduces the exact arrangement an uninterrupted
-// run would have, which is what makes rollback bit-exact.
+// block, cores cell-ordered, component-major like the store they are
+// copied from. Restoring these arrays verbatim and running a rebuild
+// reproduces the exact arrangement an uninterrupted run would have,
+// which is what makes rollback bit-exact.
 type blockSnap struct {
-	pos, vel []geom.Vec
+	pos, vel geom.Coords
 	ids      []int32
+	have     bool // filled in the epoch being assembled
 }
 
 // epochState is one complete rebuild-boundary snapshot: the state at
-// the start of measured iteration iter, keyed by block id. Keying by
+// the start of measured iteration iter, indexed by block id. Keying by
 // block (not rank) is what lets a degraded layout restore it — blocks
 // keep their identity and geometry when ownership moves.
 type epochState struct {
 	iter   int
-	blocks map[int]*blockSnap
+	blocks []blockSnap
+	filled int
 }
 
 // snapCollector assembles per-block snapshot offers into complete
@@ -41,6 +44,12 @@ type epochState struct {
 // epoch's first offer retires the previous buffer (complete or not),
 // and a buffer is promoted to stable only once all `need` blocks have
 // arrived. A fault mid-epoch leaves the stable snapshot untouched.
+// The same ordering lets the ranks copy their blocks into the current
+// buffer side by side, outside the lock — each block has its own slot,
+// and no rank can open the next epoch while another is still copying
+// into this one — and lets the buffer that a promotion displaces be
+// the next epoch's: whoever restored from it finished doing so before
+// it offered anything.
 //
 // The ordering does NOT hold across attempts: a failed attempt can
 // die with a half-filled buffer for the very epoch its retry will
@@ -54,9 +63,9 @@ type snapCollector struct {
 	every   int // take every k-th rebuild boundary (>=1)
 	seen    int // rebuild boundaries seen
 	curIter int // epoch currently assembling (-1 = none)
-	taking  bool
 	cur     *epochState
 	stable  *epochState
+	spare   *epochState // a retired buffer, for the next epoch taken
 }
 
 func newSnapCollector(need, every int) *snapCollector {
@@ -75,39 +84,58 @@ func (sc *snapCollector) offer(iter int, dm *decomp.Domain) {
 		return // an unsupervised session keeps no snapshots
 	}
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if iter != sc.curIter {
 		sc.curIter = iter
 		sc.seen++
-		sc.taking = (sc.seen-1)%sc.every == 0
-		if sc.taking {
-			sc.cur = &epochState{iter: iter, blocks: make(map[int]*blockSnap)}
-		} else {
-			sc.cur = nil
+		sc.retire()
+		if (sc.seen-1)%sc.every == 0 {
+			if sc.cur = sc.spare; sc.cur == nil {
+				sc.cur = &epochState{blocks: make([]blockSnap, sc.need)}
+			}
+			sc.spare = nil
+			sc.cur.iter, sc.cur.filled = iter, 0
+			for i := range sc.cur.blocks {
+				sc.cur.blocks[i].have = false
+			}
 		}
 	}
-	if !sc.taking || sc.cur == nil {
-		// cur == nil with taking set means this epoch already promoted;
-		// a duplicate offer (only possible if the per-attempt ordering
-		// were violated) has nothing to add, and dropping it degrades to
-		// "no newer snapshot" rather than crashing a rank.
+	cur := sc.cur
+	sc.mu.Unlock()
+	if cur == nil {
+		// Not taken — or taken and already promoted: a duplicate
+		// offer (only possible if the per-attempt ordering were
+		// violated) has nothing to add, and dropping it degrades to "no
+		// newer snapshot" rather than crashing a rank.
 		return
 	}
+	fresh := 0
 	for _, b := range dm.Blocks {
-		snap := &blockSnap{
-			pos: make([]geom.Vec, b.NCore),
-			vel: make([]geom.Vec, b.NCore),
-			ids: append([]int32(nil), b.PS.ID[:b.NCore]...),
+		snap := &cur.blocks[b.ID]
+		for k := 0; k < b.PS.D; k++ {
+			snap.pos[k] = append(snap.pos[k][:0], b.PS.Pos[k][:b.NCore]...)
+			snap.vel[k] = append(snap.vel[k][:0], b.PS.Vel[k][:b.NCore]...)
 		}
-		for i := 0; i < b.NCore; i++ {
-			snap.pos[i] = b.PS.PosAt(i)
-			snap.vel[i] = b.PS.VelAt(i)
+		snap.ids = append(snap.ids[:0], b.PS.ID[:b.NCore]...)
+		if !snap.have {
+			snap.have = true
+			fresh++
 		}
-		sc.cur.blocks[b.ID] = snap
 	}
-	if len(sc.cur.blocks) == sc.need {
-		sc.stable = sc.cur
-		sc.cur = nil
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.cur != cur {
+		return // reset meanwhile: the epoch is abandoned
+	}
+	if cur.filled += fresh; cur.filled == sc.need {
+		sc.stable, sc.spare, sc.cur = cur, sc.stable, nil
+	}
+}
+
+// retire gives up the epoch being assembled, keeping its storage for
+// the next one. Called with the lock held.
+func (sc *snapCollector) retire() {
+	if sc.cur != nil {
+		sc.spare, sc.cur = sc.cur, nil
 	}
 }
 
@@ -123,8 +151,7 @@ func (sc *snapCollector) reset() {
 	defer sc.mu.Unlock()
 	sc.seen = 0
 	sc.curIter = -1
-	sc.taking = false
-	sc.cur = nil
+	sc.retire()
 }
 
 // snapshot returns the newest complete epoch, or nil.

@@ -378,9 +378,15 @@ func (dm *Domain) migrate() {
 	}
 	moved := int64(0)
 	for _, b := range dm.Blocks {
+		// The deferred wrap: a coordinate that has crossed a periodic
+		// face since the last rebuild is folded here, one component
+		// stream at a time; one still inside the box — every one, in a
+		// reflecting box — costs a comparison.
+		for k := 0; k < d; k++ {
+			l.Box.FoldSlice(b.PS.Pos[k][:b.NCore], k)
+		}
 		for i := 0; i < b.NCore; {
-			p, _ := l.Box.Wrap(b.PS.PosAt(i))
-			b.PS.SetPos(i, p)
+			p := b.PS.PosAt(i)
 			home := l.BlockOfPos(p)
 			if home == b.ID {
 				i++

@@ -45,81 +45,41 @@ func Sweep(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, box geo
 	return ekin, maxDisp2
 }
 
-// foldKind is what happens to a coordinate that leaves [0, l).
-type foldKind int
-
-const (
-	foldNone     foldKind = iota // deferred periodic wrap: nothing, until migration
-	foldPeriodic                 // wrap modulo l
-	foldReflect                  // mirror at the walls, negating the velocity
-)
-
 // fold is one sweep's boundary handling. A coordinate x with
 // lo <= x < hi[k] is already where the boundary condition would put
 // it; only one outside goes through slow. For a wrapping or
-// reflecting box that interval is [0, l): math.Mod(x, m) returns x bit
-// for bit whenever |x| < m, and both l (periodic) and 2l (the
-// reflecting period) exceed every x in it, so neither of Wrap's
-// corrections after the Mod fires either — leaving the Mod out is
-// exact. That includes -0, which compares inside the interval and
-// which Mod hands back as -0; a NaN stays a NaN either way. With the
-// fold deferred the interval is the whole line.
+// reflecting box that interval is [0, l), where geom.Box.Fold is the
+// identity (see there for why leaving the math.Mod out is exact). With
+// the fold deferred the interval is the whole line.
 type fold struct {
-	kind foldKind
+	box  geom.Box
+	live bool // false: the fold is deferred until migration
 	lo   float64
 	hi   geom.Vec
-	edge geom.Vec // box length per component
 	half geom.Vec // minimum-image threshold of the displacement
 }
 
 func newFold(box geom.Box, mode WrapMode) fold {
 	inf := math.Inf(1)
-	f := fold{kind: foldNone, lo: -inf, hi: geom.Vec{inf, inf, inf}, edge: box.Len, half: box.HalfLengths()}
-	switch {
-	case box.BC == geom.Reflecting:
-		f.kind = foldReflect
-	case mode == WrapGlobal:
-		f.kind = foldPeriodic
-	}
-	if f.kind != foldNone {
-		f.lo, f.hi = 0, box.Len
+	f := fold{box: box, lo: -inf, hi: geom.Vec{inf, inf, inf}, half: box.HalfLengths()}
+	if box.BC == geom.Reflecting || mode == WrapGlobal {
+		f.live, f.lo, f.hi = true, 0, box.Len
 	}
 	return f
 }
 
-// slow folds a coordinate that lies outside the fast interval, with
-// geom.Box.Wrap's arithmetic, and returns it with the velocity
+// slow folds coordinate x of component k, which lies outside the fast
+// interval, through geom.Box.Fold and returns it with the velocity
 // component, negated after an odd number of reflections.
-func (f *fold) slow(x, v, l float64) (float64, float64) {
-	switch f.kind {
-	case foldPeriodic:
-		x = math.Mod(x, l)
-		if x < 0 {
-			x += l
-		}
-		// math.Mod can return exactly l for x slightly below 0 due to
-		// rounding; fold once more to stay half-open.
-		if x >= l {
-			x -= l
-		}
-	case foldReflect:
-		// Fold into [0, 2l) with period 2l, then reflect the upper
-		// half; an odd number of reflections negates the velocity.
-		period := 2 * l
-		x = math.Mod(x, period)
-		if x < 0 {
-			x += period
-		}
-		if x >= l {
-			x = period - x
-			v = -v
-		}
-		// Guard against x == l from rounding at the fold point.
-		if x >= l {
-			x = math.Nextafter(l, 0)
-		}
+func (f *fold) slow(x, v float64, k int) (float64, float64) {
+	if !f.live {
+		return x, v // +Inf alone gets here, and stays
 	}
-	return x, v // foldNone: +Inf alone gets here, and stays
+	x, flip := f.box.Fold(x, k)
+	if flip {
+		v = -v
+	}
+	return x, v
 }
 
 // sweep3 is the three-dimensional sweep on component slices.
@@ -130,25 +90,25 @@ func sweep3(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, f *fol
 	r0, r1, r2 := ref[0][lo:hi], ref[1][lo:hi], ref[2][lo:hi]
 	flo := f.lo
 	hi0, hi1, hi2 := f.hi[0], f.hi[1], f.hi[2]
-	l0, l1, l2 := f.edge[0], f.edge[1], f.edge[2]
+	l0, l1, l2 := f.box.Len[0], f.box.Len[1], f.box.Len[2]
 	h0, h1, h2 := f.half[0], f.half[1], f.half[2]
 	for i := range p0 {
 		vx := v0[i] + f0[i]*dt
 		x := p0[i] + vx*dt
 		if x < flo || x >= hi0 {
-			x, vx = f.slow(x, vx, l0)
+			x, vx = f.slow(x, vx, 0)
 		}
 		v0[i], p0[i] = vx, x
 		vy := v1[i] + f1[i]*dt
 		y := p1[i] + vy*dt
 		if y < flo || y >= hi1 {
-			y, vy = f.slow(y, vy, l1)
+			y, vy = f.slow(y, vy, 1)
 		}
 		v1[i], p1[i] = vy, y
 		vz := v2[i] + f2[i]*dt
 		z := p2[i] + vz*dt
 		if z < flo || z >= hi2 {
-			z, vz = f.slow(z, vz, l2)
+			z, vz = f.slow(z, vz, 2)
 		}
 		v2[i], p2[i] = vz, z
 
@@ -187,19 +147,19 @@ func sweep2(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, f *fol
 	r0, r1 := ref[0][lo:hi], ref[1][lo:hi]
 	flo := f.lo
 	hi0, hi1 := f.hi[0], f.hi[1]
-	l0, l1 := f.edge[0], f.edge[1]
+	l0, l1 := f.box.Len[0], f.box.Len[1]
 	h0, h1 := f.half[0], f.half[1]
 	for i := range p0 {
 		vx := v0[i] + f0[i]*dt
 		x := p0[i] + vx*dt
 		if x < flo || x >= hi0 {
-			x, vx = f.slow(x, vx, l0)
+			x, vx = f.slow(x, vx, 0)
 		}
 		v0[i], p0[i] = vx, x
 		vy := v1[i] + f1[i]*dt
 		y := p1[i] + vy*dt
 		if y < flo || y >= hi1 {
-			y, vy = f.slow(y, vy, l1)
+			y, vy = f.slow(y, vy, 1)
 		}
 		v1[i], p1[i] = vy, y
 
@@ -235,15 +195,15 @@ func sweepN(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, f *fol
 			v := ps.Vel[k][i] + ps.Frc[k][i]*dt
 			x := ps.Pos[k][i] + v*dt
 			if x < f.lo || x >= f.hi[k] {
-				x, v = f.slow(x, v, f.edge[k])
+				x, v = f.slow(x, v, k)
 			}
 			ps.Vel[k][i], ps.Pos[k][i] = v, x
 			vv += v * v
 			dx := x - ref[k][i]
 			if dx > f.half[k] {
-				dx -= f.edge[k]
+				dx -= f.box.Len[k]
 			} else if dx < -f.half[k] {
-				dx += f.edge[k]
+				dx += f.box.Len[k]
 			}
 			d2 += dx * dx
 		}

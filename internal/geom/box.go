@@ -82,45 +82,75 @@ func (b Box) Contains(p Vec) bool {
 // true when dimension i reflected an odd number of times.
 func (b Box) Wrap(p Vec) (Vec, [MaxD]bool) {
 	var flip [MaxD]bool
-	switch b.BC {
-	case Periodic:
-		for i := 0; i < b.D; i++ {
-			l := b.Len[i]
-			x := math.Mod(p[i], l)
-			if x < 0 {
-				x += l
-			}
-			// math.Mod can return exactly l for x slightly below 0
-			// due to rounding; fold once more to stay half-open.
-			if x >= l {
-				x -= l
-			}
-			p[i] = x
-		}
-	case Reflecting:
-		for i := 0; i < b.D; i++ {
-			l := b.Len[i]
-			x := p[i]
-			// Fold into [0, 2l) with period 2l, then reflect the
-			// upper half. Using the analytic fold keeps this O(1)
-			// for arbitrarily distant coordinates.
-			period := 2 * l
-			x = math.Mod(x, period)
-			if x < 0 {
-				x += period
-			}
-			if x >= l {
-				x = period - x
-				flip[i] = true
-			}
-			// Guard against x == l from rounding at the fold point.
-			if x >= l {
-				x = math.Nextafter(l, 0)
-			}
-			p[i] = x
-		}
+	for i := 0; i < b.D; i++ {
+		p[i], flip[i] = b.Fold(p[i], i)
 	}
 	return p, flip
+}
+
+// Fold is Wrap for one coordinate: x of dimension k folded into
+// [0, Len[k]), and whether it reflected an odd number of times. A
+// coordinate already in that interval comes back as it is, without the
+// math.Mod: Mod(x, m) returns x bit for bit whenever |x| < m, both the
+// periodic modulus l and the reflecting period 2l exceed every x in
+// [0, l), and none of the corrections after the Mod fires there, so
+// leaving it out is exact — for -0 too, which compares inside and
+// which Mod hands back as -0. A NaN compares outside and stays a NaN.
+// Every boundary fold of the engine — Wrap, the particle sweep,
+// migration, the state gathers — is this one function.
+func (b Box) Fold(x float64, k int) (float64, bool) {
+	l := b.Len[k]
+	if x >= 0 && x < l {
+		return x, false
+	}
+	return foldOutside(x, l, b.BC)
+}
+
+// foldOutside folds a coordinate that has left [0, l). It is O(1) for
+// arbitrarily distant coordinates.
+func foldOutside(x, l float64, bc Boundary) (float64, bool) {
+	flip := false
+	switch bc {
+	case Periodic:
+		x = math.Mod(x, l)
+		if x < 0 {
+			x += l
+		}
+		// math.Mod can return exactly l for x slightly below 0
+		// due to rounding; fold once more to stay half-open.
+		if x >= l {
+			x -= l
+		}
+	case Reflecting:
+		// Fold into [0, 2l) with period 2l, then reflect the
+		// upper half.
+		period := 2 * l
+		x = math.Mod(x, period)
+		if x < 0 {
+			x += period
+		}
+		if x >= l {
+			x = period - x
+			flip = true
+		}
+		// Guard against x == l from rounding at the fold point.
+		if x >= l {
+			x = math.Nextafter(l, 0)
+		}
+	}
+	return x, flip
+}
+
+// FoldSlice folds every coordinate of xs, one component stream of
+// dimension k, in place; reflections are not reported, as for a
+// position whose velocity the caller does not hold.
+func (b Box) FoldSlice(xs []float64, k int) {
+	l := b.Len[k]
+	for i, x := range xs {
+		if x < 0 || x >= l {
+			xs[i], _ = foldOutside(x, l, b.BC)
+		}
+	}
 }
 
 // HalfLength returns the minimum-image threshold of component k:

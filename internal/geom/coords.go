@@ -127,9 +127,14 @@ func (b Box) Dist2At(c *Coords, i, j int32) float64 {
 // values — the array-of-structures to structure-of-arrays conversion,
 // used at API boundaries and in tests.
 func CoordsFromVecs(vs []Vec, d int) Coords {
-	c := MakeCoords(d, len(vs))
-	for _, v := range vs {
-		c.Append(v, d)
+	var c Coords
+	for k := 0; k < d; k++ {
+		c[k] = make([]float64, len(vs))
+	}
+	for i := range vs {
+		for k := 0; k < d; k++ {
+			c[k][i] = vs[i][k]
+		}
 	}
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -524,4 +525,75 @@ func TestChunkedJobEqualsChainedJobs(t *testing.T) {
 			sameBytes(t, link.Checkpoint, chunked.Checkpoint)
 		})
 	}
+}
+
+// TestClientCheckpointIsTheDurableOne: a job with a durable dir and a
+// checkpoint path of its own ends with one snapshot written to both —
+// the daemon's file and the client's hold the same bytes — when it runs
+// to the end and when it is canceled on the way.
+func TestClientCheckpointIsTheDurableOne(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	s := newDurable(t, Options{Workers: 1, DataDir: data})
+	spec := JobSpec{D: 2, N: 400, Mode: "mpi", P: 2, Vel: 2, CheckpointEvery: 7}
+
+	done := spec
+	done.Iters, done.Checkpoint = 30, filepath.Join(dir, "done.ck")
+	st := runToDone(t, s, done)
+	sameBytes(t, filepath.Join(data, "jobs", st.ID+".ck"), done.Checkpoint)
+
+	cut := spec
+	cut.Iters, cut.Checkpoint = 1_000_000, filepath.Join(dir, "cut.ck")
+	r := s.Submit(&cut)
+	if !r.OK {
+		t.Fatalf("submit: %s", r.Error)
+	}
+	for s.Status(r.ID).Job.ItersDone < 10 {
+		time.Sleep(time.Millisecond)
+	}
+	s.Cancel(r.ID)
+	if fin := waitTerminal(t, s, r.ID); fin.State != "canceled" || fin.Checkpoint != cut.Checkpoint {
+		t.Fatalf("canceled job ended %s with checkpoint %q", fin.State, fin.Checkpoint)
+	}
+	sameBytes(t, filepath.Join(data, "jobs", r.ID+".ck"), cut.Checkpoint)
+	if snap, err := checkpoint.LoadFile(cut.Checkpoint); err != nil || snap.Iters < 10 {
+		t.Fatalf("canceled job's checkpoint: %v, %+v iterations", err, snap)
+	}
+}
+
+// TestOldFormatDurableCheckpointFallsBack: a durable checkpoint left by
+// a daemon that still wrote the gob frame is not read; the job logs
+// why, re-runs from its spec and ends on the bytes of a job that never
+// had one.
+func TestOldFormatDurableCheckpointFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var logged []string
+	s := newDurable(t, Options{Workers: 1, DataDir: filepath.Join(dir, "data"), Logf: func(f string, a ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(f, a...))
+		mu.Unlock()
+	}})
+	old := append([]byte("HYDEMCK1"), make([]byte, 300)...)
+	if err := os.WriteFile(filepath.Join(dir, "data", "jobs", "j1.ck"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{D: 2, N: 300, Iters: 12, CheckpointEvery: 5}
+	first := spec
+	first.Checkpoint = filepath.Join(dir, "first.ck")
+	if st := runToDone(t, s, first); st.ID != "j1" {
+		t.Fatalf("the first job is %s, the planted file was for j1", st.ID)
+	}
+	clean := spec
+	clean.Checkpoint = filepath.Join(dir, "clean.ck")
+	runToDone(t, s, clean)
+	sameBytes(t, clean.Checkpoint, first.Checkpoint)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "durable checkpoint unusable") && strings.Contains(line, "HYDEMCK1") {
+			return
+		}
+	}
+	t.Errorf("no log line names the old format: %q", logged)
 }

@@ -714,16 +714,12 @@ func (s *Server) durablePath(j *Job) string {
 	return filepath.Join(s.dataDir, "jobs", j.ID+".ck")
 }
 
-// saveCk checkpoints a run result crash-safely.
-func saveCk(path string, cfg *core.Config, res *core.Result, iters int) error {
-	snap, err := checkpoint.FromResult(cfg, res, iters)
-	if err == nil {
-		err = checkpoint.SaveFile(path, snap)
+// saveCk writes a snapshot crash-safely.
+func saveCk(path string, snap *checkpoint.Snapshot) error {
+	if err := checkpoint.SaveFile(path, snap); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err != nil {
-		err = fmt.Errorf("checkpoint: %w", err)
-	}
-	return err
+	return nil
 }
 
 // execute runs one attempt of a job and classifies the outcome:
@@ -851,8 +847,16 @@ func (s *Server) execute(j *Job) (st State, errMsg string, retryable bool) {
 	// the trajectory; it is absolute — a crashed job resumes mid-grid with
 	// a short first chunk — so a recovered job lands on an unbroken one's bits.
 	var save func(*core.Result, int) error
+	var last *checkpoint.Snapshot // what the durable file holds
 	if durable != "" {
-		save = func(snap *core.Result, done int) error { return saveCk(durable, &cfg, snap, done) }
+		save = func(res *core.Result, done int) error {
+			snap, err := checkpoint.FromResult(&cfg, res, done)
+			if err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+			last = snap
+			return saveCk(durable, snap)
+		}
 	}
 	done := restored
 	if err == nil {
@@ -872,7 +876,14 @@ func (s *Server) execute(j *Job) (st State, errMsg string, retryable bool) {
 	j.itersDone.Store(int64(done))
 
 	if spec.Checkpoint != "" {
-		if serr := saveCk(spec.Checkpoint, &cfg, sim.Result(), done); serr != nil {
+		// AdvanceTo's last durable save was of this very state: the
+		// client's copy is the same snapshot written a second time.
+		if last == nil {
+			if last, err = checkpoint.FromResult(&cfg, sim.Result(), done); err != nil {
+				return StateFailed, fmt.Sprintf("checkpoint: %v", err), false
+			}
+		}
+		if serr := saveCk(spec.Checkpoint, last); serr != nil {
 			return StateFailed, serr.Error(), false
 		}
 		j.ckWritten.Store(true)

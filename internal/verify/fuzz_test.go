@@ -147,12 +147,45 @@ func FuzzModeEquivalence(f *testing.F) {
 	})
 }
 
+// modFold is the boundary fold spelled out with an unconditional
+// math.Mod per coordinate — what geom.Box.Wrap did before it learned
+// to leave the Mod out inside the box. It is FuzzFold's oracle.
+func modFold(x, l float64, bc geom.Boundary) (float64, bool) {
+	flip := false
+	switch bc {
+	case geom.Periodic:
+		x = math.Mod(x, l)
+		if x < 0 {
+			x += l
+		}
+		if x >= l {
+			x -= l
+		}
+	case geom.Reflecting:
+		period := 2 * l
+		x = math.Mod(x, period)
+		if x < 0 {
+			x += period
+		}
+		if x >= l {
+			x = period - x
+			flip = true
+		}
+		if x >= l {
+			x = math.Nextafter(l, 0)
+		}
+	}
+	return x, flip
+}
+
 // FuzzFold drives one particle through force.Sweep — kick, drift and
-// the boundary fold that calls math.Mod only for a coordinate outside
-// [0, l) — and checks it, bit for bit, against the arithmetic spelled
-// out with geom.Box.Wrap, which folds every coordinate through Mod:
-// position, velocity (negated after an odd number of reflections),
-// kinetic energy and the squared displacement from where it started.
+// geom.Box.Fold, the boundary fold that calls math.Mod only for a
+// coordinate outside [0, l) — and checks it, bit for bit, against the
+// arithmetic spelled out with modFold, which folds every coordinate
+// through Mod: position, velocity (negated after an odd number of
+// reflections), kinetic energy and the squared displacement from where
+// it started. Box.Fold, Box.Wrap and Box.FoldSlice are held to the
+// same oracle on the drifted coordinates directly.
 func FuzzFold(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), 0.5, 1.0, 0.0, 1.0, 1e-3)
 	f.Add(uint8(1), uint8(0), uint8(1), 0.999, 400.0, -3.0, 1.0, 1e-2)      // reflects once
@@ -190,10 +223,26 @@ func FuzzFold(f *testing.F) {
 			wantV[k] = ps.Vel[k][0] + frc*dt
 			drifted[k] = start[k] + wantV[k]*dt
 		}
+		same := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+		}
+		var folded geom.Vec
+		var flip [geom.MaxD]bool
+		for k := 0; k < d; k++ {
+			folded[k], flip[k] = modFold(drifted[k], box.Len[k], box.BC)
+			one := []float64{drifted[k]}
+			box.FoldSlice(one, k)
+			if got, gotFlip := box.Fold(drifted[k], k); !same(got, folded[k]) || gotFlip != flip[k] || !same(one[0], folded[k]) {
+				t.Fatalf("%v l=%v: Fold(%.17g) = (%.17g, %v), FoldSlice %.17g, every-coordinate Mod (%.17g, %v)",
+					box.BC, box.Len[k], drifted[k], got, gotFlip, one[0], folded[k], flip[k])
+			}
+		}
+		if w, wf := box.Wrap(drifted); wf != flip || !same(w[0], folded[0]) || !same(w[1], folded[1]) || !same(w[2], folded[2]) {
+			t.Fatalf("%v: Wrap(%v) = (%v, %v), every-coordinate Mod (%v, %v)", box.BC, drifted, w, wf, folded, flip)
+		}
 		wantX := drifted
 		if mode == force.WrapGlobal || box.BC == geom.Reflecting {
-			var flip [geom.MaxD]bool
-			wantX, flip = box.Wrap(drifted)
+			wantX = folded
 			for k := 0; k < d; k++ {
 				if flip[k] {
 					wantV[k] = -wantV[k]
@@ -204,9 +253,6 @@ func FuzzFold(f *testing.F) {
 		wantMoved := math.Max(0, box.Dist2(start, wantX)) // a NaN distance is never the maximum
 
 		e, moved := force.Sweep(ps, &ref, 0, 1, dt, box, mode, nil)
-		same := func(a, b float64) bool {
-			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
-		}
 		for k := 0; k < d; k++ {
 			if !same(ps.Pos[k][0], wantX[k]) || !same(ps.Vel[k][0], wantV[k]) {
 				t.Fatalf("%v mode %d component %d of %d: x=%v v=%v f=%v l=%v dt=%v: sweep (%.17g, %.17g), Wrap (%.17g, %.17g)",
