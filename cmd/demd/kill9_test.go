@@ -64,7 +64,7 @@ func startDaemon(t *testing.T, args ...string) (*json.Encoder, *json.Decoder, fu
 func TestDaemonKill9Recovery(t *testing.T) {
 	dir := t.TempDir()
 	spec := &server.JobSpec{D: 2, N: 300, Iters: 6000, Warm: 1, Vel: 4,
-		RC: 1.2, NoReorder: true}
+		RC: 1.2}
 
 	// Reference: the same daemon configuration, never interrupted.
 	refCk := filepath.Join(dir, "ref.ck")

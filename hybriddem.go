@@ -167,8 +167,9 @@ func Default(d, n int) Config { return core.Default(d, n) }
 // measured iterations and returns its measurements.
 func Run(cfg Config, iters int) (*Result, error) { return core.Run(cfg, iters) }
 
-// Sim is a live session: Open, Advance in pieces, Result or a resumable
-// Snapshot in between, Close; ranks, teams, grids and buffers stay up.
+// Sim is a live session: Open, Advance in pieces, Result — a resumable
+// state under CollectState — in between, Close; ranks, teams, grids and
+// buffers stay up.
 // Sim.AdvanceTo is the checkpointing loop of demrun and demd.
 type Sim = core.Sim
 
@@ -181,8 +182,8 @@ func Open(cfg Config) (*Sim, error) { return core.Open(cfg) }
 // interrupted state can be checkpointed and resumed.
 var ErrCanceled = core.ErrCanceled
 
-// State is an explicit initial condition (positions and velocities
-// indexed by particle ID) for Config.Init.
+// State is an explicit initial condition for Config.Init: positions
+// and velocities indexed by particle ID, or a checkpoint's arrangement.
 type State = core.State
 
 // BondTable records the permanent dissipative-spring bonds that glue
@@ -228,8 +229,8 @@ func BuildGrains(gc GrainConfig) (*State, *BondTable, error) {
 // into Config.Timeline; see cmd/demtrace for rendering.
 type Timeline = trace.Timeline
 
-// Snapshot is a saved simulation state (positions, velocities,
-// geometry) for checkpoint/restart; see the checkpoint functions.
+// Snapshot is a saved simulation state (the stores as the run held
+// them, geometry) for checkpoint/restart; see the checkpoint functions.
 type Snapshot = checkpoint.Snapshot
 
 // SaveCheckpoint captures a finished run (made with

@@ -1,9 +1,9 @@
 // Package checkpoint saves and restores simulation state. A snapshot
-// captures the physical state (positions, velocities, identities) and
-// the geometry needed to validate a resume; restart runs rebuild the
-// link list from the restored positions, which reproduces the
-// original trajectory exactly because out-of-range pairs contribute
-// no force.
+// captures the state as the engine holds it — the order of its stores,
+// positions, velocities and the reference positions its link lists
+// were built from — and the geometry needed to validate a resume; a run
+// opened from it rebuilds those lists at the reference positions and
+// continues on the bits of the run that wrote it.
 package checkpoint
 
 import (
@@ -59,17 +59,28 @@ type Snapshot struct {
 	// trajectory exactly.
 	ORBTree []byte
 
-	// Physical state indexed by particle ID, stored component-major to
-	// mirror the structure-of-arrays particle store: Pos[k][id] is
-	// component k of particle id. Only the first D component slices are
-	// populated; a snapshot therefore costs 2*D*N floats regardless of
-	// geom.MaxD.
-	Pos geom.Coords
-	Vel geom.Coords
+	// Physical state in store order, component-major like the
+	// structure-of-arrays particle store: slot i holds particle Order[i]
+	// (particle i when Order is empty) at Pos[·][i] with velocity
+	// Vel[·][i], and Ref[·][i] is where it stood when its link list was
+	// built (Pos[·][i] when Ref is empty). Positions are in the engine's
+	// frame, not folded into the box (core.Arrangement). Only the first
+	// D component slices are populated. Save writes an empty Ref as Pos
+	// and an empty Order as the identity, so Load always fills both.
+	Pos, Vel, Ref geom.Coords
+	Order         []int32
 }
 
-// FromResult builds a snapshot from a finished run; the run must have
-// been collected with Config.CollectState.
+// ErrOrder is Load's error for an order section that is not a
+// permutation of [0, N): installed, it would store a particle twice.
+var ErrOrder = errors.New("checkpoint: store order is not a permutation of the particle ids")
+
+// FromResult builds a snapshot from a run collected with
+// Config.CollectState. It shares the Result's Arrangement — storage the
+// session overwrites at its next Advance — so save the snapshot before
+// the session advances. A Result with no Arrangement (positions and
+// velocities by particle ID only) gives a snapshot in ID order whose
+// references are its positions.
 func FromResult(cfg *core.Config, res *core.Result, itersDone int) (*Snapshot, error) {
 	if res.Pos == nil || res.Vel == nil {
 		return nil, fmt.Errorf("checkpoint: run did not collect state (set Config.CollectState)")
@@ -78,7 +89,7 @@ func FromResult(cfg *core.Config, res *core.Result, itersDone int) (*Snapshot, e
 	if res.Tree != nil {
 		tree = res.Tree.Encode()
 	}
-	return &Snapshot{
+	s := &Snapshot{
 		D: cfg.D, N: cfg.N, L: cfg.L, BC: cfg.BC,
 		Diameter:   cfg.Spring.Diameter,
 		K:          cfg.Spring.K,
@@ -90,9 +101,13 @@ func FromResult(cfg *core.Config, res *core.Result, itersDone int) (*Snapshot, e
 		Bonds:      cfg.Spring.Bonds,
 		Iters:      itersDone,
 		ORBTree:    tree,
-		Pos:        geom.CoordsFromVecs(res.Pos, cfg.D),
-		Vel:        geom.CoordsFromVecs(res.Vel, cfg.D),
-	}, nil
+	}
+	if a := res.Arrangement; a != nil {
+		s.Pos, s.Vel, s.Ref, s.Order = a.Pos, a.Vel, a.Ref, a.Order
+	} else {
+		s.Pos, s.Vel = geom.CoordsFromVecs(res.Pos, cfg.D), geom.CoordsFromVecs(res.Vel, cfg.D)
+	}
+	return s, nil
 }
 
 // Apply validates the snapshot against the configuration and installs
@@ -136,6 +151,9 @@ func (s *Snapshot) Apply(cfg *core.Config) error {
 	if err := s.checkShape(); err != nil {
 		return err
 	}
+	if err := checkOrder(s.Order, s.N); err != nil {
+		return err
+	}
 	if len(s.ORBTree) > 0 {
 		tree, err := decomp.DecodeTree(s.ORBTree)
 		if err != nil {
@@ -143,23 +161,47 @@ func (s *Snapshot) Apply(cfg *core.Config) error {
 		}
 		cfg.InitTree = tree
 	}
-	cfg.Init = &core.State{Pos: s.Pos.Vecs(s.N, s.D), Vel: s.Vel.Vecs(s.N, s.D)}
+	init := &core.State{Pos: s.Pos.Vecs(s.N, s.D), Vel: s.Vel.Vecs(s.N, s.D), Order: s.Order}
+	if s.Ref[0] != nil {
+		init.Ref = s.Ref.Vecs(s.N, s.D)
+	}
+	cfg.Init = init
 	return nil
 }
 
 // checkShape rejects a hand-built snapshot the layout cannot hold or
 // Apply's gather would index out of range on: a dimension or count out
-// of range, or a populated component that does not hold exactly N
-// values.
+// of range, a populated component that does not hold exactly N values,
+// or an order of another length.
 func (s *Snapshot) checkShape() error {
 	if s.D < 1 || s.D > geom.MaxD || s.N < 0 || s.Iters < 0 {
 		return fmt.Errorf("checkpoint: implausible snapshot D=%d N=%d Iters=%d", s.D, s.N, s.Iters)
 	}
+	refs := s.Ref[0] != nil
 	for k := 0; k < s.D; k++ {
-		if len(s.Pos[k]) != s.N || len(s.Vel[k]) != s.N {
-			return fmt.Errorf("checkpoint: component %d holds %d positions and %d velocities for N=%d",
-				k, len(s.Pos[k]), len(s.Vel[k]), s.N)
+		if len(s.Pos[k]) != s.N || len(s.Vel[k]) != s.N || refs && len(s.Ref[k]) != s.N {
+			return fmt.Errorf("checkpoint: component %d holds %d positions, %d velocities and %d references for N=%d",
+				k, len(s.Pos[k]), len(s.Vel[k]), len(s.Ref[k]), s.N)
 		}
+	}
+	if s.Order != nil && len(s.Order) != s.N {
+		return fmt.Errorf("checkpoint: order of %d entries for N=%d", len(s.Order), s.N)
+	}
+	return nil
+}
+
+// checkOrder reports ErrOrder unless order is empty (the identity) or
+// holds every id in [0, n) once.
+func checkOrder(order []int32, n int) error {
+	if order == nil {
+		return nil
+	}
+	seen := make([]bool, n)
+	for i, id := range order {
+		if id < 0 || int(id) >= n || seen[id] {
+			return fmt.Errorf("%w: slot %d holds id %d", ErrOrder, i, id)
+		}
+		seen[id] = true
 	}
 	return nil
 }
@@ -167,7 +209,7 @@ func (s *Snapshot) checkShape() error {
 // The on-disk format is a checksummed frame around a fixed
 // little-endian layout (DESIGN.md §19 has the byte table):
 //
-//	[8]  magic "HYDEMCK2"
+//	[8]  magic "HYDEMCK3"
 //	[8]  payload length n
 //	[8]  CRC-32C (Castagnoli) of the payload, zero-extended
 //	[n]  payload:
@@ -175,23 +217,30 @@ func (s *Snapshot) checkShape() error {
 //	                 K, Damp, Dt, Gravity, FillHeight (float64 bits)
 //	       [8] t, [t]  ORBTree
 //	       [8] b, [b]  Bonds, as force.BondTable.GobEncode writes it (0: none)
-//	       D×N × [8]   Pos, component by component
-//	       D×N × [8]   Vel, component by component
+//	       D×N × [8]   Pos, component by component, in store order
+//	       D×N × [8]   Vel, likewise
+//	       D×N × [8]   Ref, likewise
+//	       N × [4]     Order: the particle id of each store slot
 //
 // Load applies its checks in this order: magic, length bound, payload
 // read in full, checksum — and only then looks inside: D, N and the
 // two flags in range, blob lengths within the payload, and the state
 // arrays exactly filling what is left, all before it allocates a
-// float. A file truncated anywhere fails the header or payload read; a
+// float; then that Order is a permutation (ErrOrder). A file truncated anywhere fails the header or payload read; a
 // flipped bit fails the magic, the length (as a truncation or a
 // checksum mismatch) or the checksum — CRC-32C detects every single-bit
 // error and every burst of up to 32 bits. Either way Load returns an
 // error and never panics.
-var magic = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '2'}
+var magic = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '3'}
 
-// magicV1 opened the gob-encoded, FNV-checksummed frame this one
-// replaced. There is no reader for it: Load names it and gives up.
-var magicV1 = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '1'}
+// Earlier frames, which Load names and gives up on: v1 was gob-encoded
+// and FNV-checksummed, v2 this layout without the Ref and Order
+// sections — positions by particle ID, folded into the box — from which
+// no resume can rebuild the run's lists.
+var (
+	magicV1 = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '1'}
+	magicV2 = [8]byte{'H', 'Y', 'D', 'E', 'M', 'C', 'K', '2'}
+)
 
 const (
 	headerLen = 24
@@ -264,6 +313,25 @@ func (e *encoder) floats(xs []float64) {
 	}
 }
 
+// ids writes n int32 ids: order's, or 0, 1, … n-1 when order is nil.
+func (e *encoder) ids(order []int32, n int) {
+	for i := 0; i < n; {
+		if e.n+4 > chunkLen {
+			e.flush()
+		}
+		m := min(n-i, (chunkLen-e.n)/4)
+		dst := e.buf[e.n : e.n+4*m]
+		for j := range m {
+			id := int32(i + j)
+			if order != nil {
+				id = order[i+j]
+			}
+			binary.LittleEndian.PutUint32(dst[4*j:], uint32(id))
+		}
+		e.n, i = e.n+4*m, i+m
+	}
+}
+
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -282,11 +350,16 @@ func (s *Snapshot) payload(buf *[chunkLen]byte, bonds []byte, sink func([]byte) 
 	e.floats([]float64{s.L, s.Diameter, s.K, s.Damp, s.Dt, s.Gravity, s.FillHeight})
 	e.blob(s.ORBTree)
 	e.blob(bonds)
-	for _, c := range [...]*geom.Coords{&s.Pos, &s.Vel} {
+	ref := &s.Ref
+	if s.Ref[0] == nil {
+		ref = &s.Pos
+	}
+	for _, c := range [...]*geom.Coords{&s.Pos, &s.Vel, ref} {
 		for k := 0; k < s.D; k++ {
 			e.floats(c[k])
 		}
 	}
+	e.ids(s.Order, s.N)
 	e.flush()
 	return e.err
 }
@@ -374,6 +447,9 @@ func Load(r io.Reader) (s *Snapshot, err error) {
 	if bytes.Equal(hdr[:8], magicV1[:]) {
 		return nil, fmt.Errorf("checkpoint: magic %q is the gob-encoded format of earlier versions, which this version does not read; re-run from the original configuration", hdr[:8])
 	}
+	if bytes.Equal(hdr[:8], magicV2[:]) {
+		return nil, fmt.Errorf("checkpoint: magic %q is the earlier frame without reference positions and store order, which this version does not read; re-run from the original configuration", hdr[:8])
+	}
 	if !bytes.Equal(hdr[:8], magic[:]) {
 		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file?)", hdr[:8])
 	}
@@ -392,8 +468,8 @@ func Load(r io.Reader) (s *Snapshot, err error) {
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
 	f := func(i int) float64 { return math.Float64frombits(u(i)) }
 	d, np, iters, bc, hertz := u(0), u(1), u(2), u(3), u(4)
-	// Each state array holds d·np floats; bounding np by the payload
-	// length first keeps the product from overflowing.
+	// The state takes 3·d·np floats and np ids; bounding np by the
+	// payload length first keeps the product from overflowing.
 	if d < 1 || d > geom.MaxD || np > n/16 || iters > math.MaxInt || bc > uint64(geom.Reflecting) || hertz > 1 {
 		return nil, fmt.Errorf("checkpoint: implausible header fields D=%d N=%d Iters=%d BC=%d Hertz=%d", d, np, iters, bc, hertz)
 	}
@@ -413,8 +489,18 @@ func Load(r io.Reader) (s *Snapshot, err error) {
 		}
 		blobs[i], p = p[:bl], p[bl:]
 	}
-	if want := 2 * d * np * 8; uint64(len(p)) != want {
+	if want := (3*d*8 + 4) * np; uint64(len(p)) != want {
 		return nil, fmt.Errorf("checkpoint: %d bytes of state for D=%d N=%d, want %d", len(p), d, np, want)
+	}
+	// The order is checked before anything else is decoded: a
+	// duplicate id would store one particle twice and lose another.
+	ids := p[3*d*np*8:]
+	snap.Order = make([]int32, np)
+	for i := range snap.Order {
+		snap.Order[i] = int32(binary.LittleEndian.Uint32(ids[4*i:]))
+	}
+	if err := checkOrder(snap.Order, snap.N); err != nil {
+		return nil, err
 	}
 	if len(blobs[0]) > 0 {
 		snap.ORBTree = bytes.Clone(blobs[0])
@@ -425,7 +511,7 @@ func Load(r io.Reader) (s *Snapshot, err error) {
 			return nil, fmt.Errorf("checkpoint: bond table: %w", derr)
 		}
 	}
-	for _, c := range [...]*geom.Coords{&snap.Pos, &snap.Vel} {
+	for _, c := range [...]*geom.Coords{&snap.Pos, &snap.Vel, &snap.Ref} {
 		for k := 0; k < snap.D; k++ {
 			xs := make([]float64, snap.N)
 			for i := range xs {

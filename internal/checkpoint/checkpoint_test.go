@@ -112,10 +112,9 @@ func TestSaveFileAtomicOverwrite(t *testing.T) {
 }
 
 // TestResumeReproducesTrajectory: 40 straight iterations must equal
-// 20 iterations + checkpoint + 20 resumed iterations. The resume
-// rebuilds the link list from the restored positions; out-of-range
-// pairs contribute zero force, so the physics is identical up to
-// summation-order noise.
+// 20 iterations + checkpoint + 20 resumed iterations, bit for bit: the
+// resume stores the particles as the run did and builds its list at
+// the run's reference positions.
 func TestResumeReproducesTrajectory(t *testing.T) {
 	full := runCfg(300)
 	fullRes, err := core.Run(full, 40)
@@ -150,15 +149,66 @@ func TestResumeReproducesTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	box := geom.NewBox(2, full.L, full.BC)
-	maxd := 0.0
-	for i := range fullRes.Pos {
-		if d := math.Sqrt(box.Dist2(fullRes.Pos[i], secondRes.Pos[i])); d > maxd {
-			maxd = d
-		}
+	if !reflect.DeepEqual(fullRes.Pos, secondRes.Pos) || !reflect.DeepEqual(fullRes.Vel, secondRes.Vel) {
+		t.Error("resumed trajectory differs from the straight run")
 	}
-	if maxd > 1e-8 {
-		t.Errorf("resumed trajectory deviates by %g", maxd)
+}
+
+// TestResumeAcrossModes: a checkpoint resumes in another mode and rank
+// count — not on the writer's bits, which the summation order differs
+// by, but on its physics. The distributed writer has particles outside
+// the periodic box (its deferred wrap), which a shared reader takes as
+// they are; a shared writer has crossed particles folded away from
+// their references, which a distributed reader moves back to the image
+// beside its reference before the first step.
+func TestResumeAcrossModes(t *testing.T) {
+	mpi := func(p int) func(*core.Config) {
+		return func(c *core.Config) { c.Mode, c.P, c.BlocksPerProc = core.MPI, p, 2 }
+	}
+	serial := func(c *core.Config) {}
+	for _, tc := range []struct {
+		name           string
+		writer, reader func(*core.Config)
+	}{
+		{"mpi-to-serial", mpi(2), serial},
+		{"serial-to-mpi", serial, mpi(2)},
+		{"mpi-to-mpi-p3", mpi(2), mpi(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runCfg(600)
+			base.InitVel = 20 // crossing the periodic faces within a few steps
+			first := base
+			tc.writer(&first)
+			full, err := core.Run(first, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := core.Run(first, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := FromResult(&first, part, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := base
+			tc.reader(&second)
+			if err := snap.Apply(&second); err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Run(second, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			box := second.Box()
+			maxd := 0.0
+			for i := range full.Pos {
+				maxd = max(maxd, math.Sqrt(box.Dist2(full.Pos[i], res.Pos[i])))
+			}
+			if maxd > 1e-8 {
+				t.Errorf("resumed in another mode, the trajectory deviates by %g", maxd)
+			}
+		})
 	}
 }
 

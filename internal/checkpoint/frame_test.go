@@ -3,14 +3,17 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hybriddem/internal/core"
 	"hybriddem/internal/force"
@@ -39,8 +42,9 @@ func saved(t testing.TB, s *Snapshot) []byte {
 }
 
 // smallSnapshot is a hand-built snapshot with every section of the
-// payload populated: five particles in two dimensions, a (fake) ORB
-// tree blob and a bond table.
+// payload populated: five particles in two dimensions stored out of id
+// order, references apart from the positions, a (fake) ORB tree blob
+// and a bond table.
 func smallSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	bt := force.NewBondTable(5, 2, 400, 1)
@@ -54,11 +58,13 @@ func smallSnapshot(t testing.TB) *Snapshot {
 		D: 2, N: 5, L: 1.5, BC: geom.Reflecting, Diameter: 0.05,
 		K: 1000, Damp: 0.5, Hertz: true, Dt: 1e-4, Gravity: -9.81, FillHeight: 0.5,
 		Bonds: bt, Iters: 17, ORBTree: []byte("not decoded until Apply"),
+		Order: []int32{3, 0, 4, 2, 1},
 	}
 	for k := 0; k < s.D; k++ {
 		for i := 0; i < s.N; i++ {
 			s.Pos[k] = append(s.Pos[k], 0.1*float64(i+1)+float64(k))
 			s.Vel[k] = append(s.Vel[k], -0.5*float64(i)+float64(k))
+			s.Ref[k] = append(s.Ref[k], 0.1*float64(i+1)+float64(k)-0.01)
 		}
 	}
 	return s
@@ -74,7 +80,7 @@ func sections(t testing.TB, s *Snapshot) []int {
 	}
 	cuts := []int{0, 8, 16, headerLen}
 	at := headerLen
-	for _, n := range []int{scalarLen, 8, len(s.ORBTree), 8, len(bonds), 8 * s.D * s.N, 8 * s.D * s.N} {
+	for _, n := range []int{scalarLen, 8, len(s.ORBTree), 8, len(bonds), 8 * s.D * s.N, 8 * s.D * s.N, 8 * s.D * s.N, 4 * s.N} {
 		at += n
 		cuts = append(cuts, at)
 	}
@@ -98,8 +104,9 @@ func validBytes(t *testing.T) []byte {
 
 // TestLoadRejectsTornWrite: a checkpoint truncated at any section
 // boundary — magic, length, checksum, scalars, either blob's length or
-// body, positions, velocities — or anywhere inside a section must come
-// back as an error, never a panic or a silently short snapshot.
+// body, positions, velocities, references, order — or anywhere inside
+// a section must come back as an error, never a panic or a silently
+// short snapshot.
 func TestLoadRejectsTornWrite(t *testing.T) {
 	s := smallSnapshot(t)
 	full := saved(t, s)
@@ -115,10 +122,16 @@ func TestLoadRejectsTornWrite(t *testing.T) {
 	if _, err := Load(bytes.NewReader(full)); err != nil {
 		t.Fatalf("untruncated bytes rejected: %v", err)
 	}
-	// A payload that ends at a section boundary under a header that
-	// says so (length and checksum right) is caught by the layout
-	// checks, not the frame.
-	for _, cut := range cuts[3 : len(cuts)-1] {
+	// A payload that ends at a section boundary, or inside the last
+	// two, under a header that says so (length and checksum right) is
+	// caught by the layout checks, not the frame.
+	ends := append([]int(nil), cuts[3:len(cuts)-1]...)
+	for _, sec := range [][2]int{{cuts[len(cuts)-3], cuts[len(cuts)-2]}, {cuts[len(cuts)-2], cuts[len(cuts)-1]}} {
+		for at := sec[0] + 1; at < sec[1]; at++ {
+			ends = append(ends, at)
+		}
+	}
+	for _, cut := range ends {
 		if _, err := Load(bytes.NewReader(frame(full[headerLen:cut]))); err == nil {
 			t.Errorf("a well-framed payload ending at offset %d loaded successfully", cut)
 		}
@@ -204,15 +217,49 @@ func TestLoadRejectsForeignBytes(t *testing.T) {
 	}
 }
 
-// TestLoadNamesTheOldFormat: a file of the gob-encoded frame this one
-// replaced is refused by name, so an operator (and demd's "durable
-// checkpoint unusable; falling back" log line) can tell an old file
-// from a damaged one.
-func TestLoadNamesTheOldFormat(t *testing.T) {
-	old := append([]byte("HYDEMCK1"), make([]byte, 200)...)
-	_, err := Load(bytes.NewReader(old))
-	if err == nil || !strings.Contains(err.Error(), "HYDEMCK1") || !strings.Contains(err.Error(), "gob") {
-		t.Errorf("v1 magic: got %v, want an error naming HYDEMCK1 and the gob format", err)
+// TestLoadNamesTheOldFormats: files of the frames this one replaced —
+// the gob-encoded one, and the fixed layout without references and
+// store order — are refused by name, so an operator (and demd's
+// "durable checkpoint unusable; falling back" log line) can tell an old
+// file from a damaged one.
+func TestLoadNamesTheOldFormats(t *testing.T) {
+	for magic, says := range map[string]string{"HYDEMCK1": "gob", "HYDEMCK2": "reference positions"} {
+		old := append([]byte(magic), make([]byte, 200)...)
+		_, err := Load(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), says) {
+			t.Errorf("%s: got %v, want an error naming %s and %q", magic, err, magic, says)
+		}
+	}
+}
+
+// TestLoadNamesABadOrder: an order section that stores an id twice, or
+// one outside [0, N), is refused with ErrOrder behind a valid checksum:
+// installed, it would silently store one particle twice.
+func TestLoadNamesABadOrder(t *testing.T) {
+	s := smallSnapshot(t)
+	good := saved(t, s)[headerLen:]
+	at := len(good) - 4*s.N
+	for name, order := range map[string][]int32{
+		"duplicate":    {3, 0, 4, 2, 3},
+		"out of range": {3, 0, 5, 2, 1},
+		"negative":     {3, 0, -1, 2, 1},
+	} {
+		p := append([]byte(nil), good...)
+		for i, id := range order {
+			binary.LittleEndian.PutUint32(p[at+4*i:], uint32(id))
+		}
+		if _, err := Load(bytes.NewReader(frame(p))); !errors.Is(err, ErrOrder) {
+			t.Errorf("%s: got %v, want ErrOrder", name, err)
+		}
+		bad := smallSnapshot(t)
+		bad.Order = order
+		cfg := core.Default(2, s.N)
+		if err := bad.Apply(&cfg); err == nil {
+			t.Errorf("%s: Apply installed the order", name)
+		}
+	}
+	if _, err := Load(bytes.NewReader(frame(good))); err != nil {
+		t.Fatalf("the unmodified payload, reframed, is rejected: %v", err)
 	}
 }
 
@@ -236,13 +283,18 @@ func TestLoadDoesNotTrustTheLength(t *testing.T) {
 
 // TestSaveLoadSaveIdentical: what Load returns, Save writes back byte
 // for byte — free particles, grains with a bond table, an ORB run with
-// its tree, and the hand-built snapshot with every section populated.
+// its tree (each with the arrangement its run held), the hand-built
+// snapshot with every section populated, and a state by particle id
+// alone, whose references and order Save spells out.
 func TestSaveLoadSaveIdentical(t *testing.T) {
 	free := runCfg(120)
 	grains := grainsCfg(t)
 	orb := runCfg(300)
 	orb.Mode, orb.P, orb.BlocksPerProc, orb.Rebalance = core.MPI, 2, 4, core.RebalanceORB
 	snaps := map[string]*Snapshot{"hand-built": smallSnapshot(t)}
+	byID := smallSnapshot(t)
+	byID.Ref, byID.Order = geom.Coords{}, nil
+	snaps["by-id"] = byID
 	for name, cfg := range map[string]core.Config{"free": free, "grains": grains, "orb": orb} {
 		res, err := core.Run(cfg, 6)
 		if err != nil {
@@ -264,8 +316,8 @@ func TestSaveLoadSaveIdentical(t *testing.T) {
 		if second := saved(t, back); !bytes.Equal(first, second) {
 			t.Errorf("%s: Save(Load(Save(s))) differs from Save(s) (%d and %d bytes)", name, len(first), len(second))
 		}
-		if want := headerLen + scalarLen + 16 + len(snap.ORBTree) + 16*snap.D*snap.N; snap.Bonds == nil && len(first) != want {
-			t.Errorf("%s: frame of %d bytes, want header + scalars + blobs + 16·D·N = %d", name, len(first), want)
+		if want := headerLen + scalarLen + 16 + len(snap.ORBTree) + (24*snap.D+4)*snap.N; snap.Bonds == nil && len(first) != want {
+			t.Errorf("%s: frame of %d bytes, want header + scalars + blobs + (24·D+4)·N = %d", name, len(first), want)
 		}
 	}
 }
@@ -275,6 +327,8 @@ func TestSaveLoadSaveIdentical(t *testing.T) {
 func TestSaveRejectsRaggedSnapshot(t *testing.T) {
 	for name, mutate := range map[string]func(*Snapshot){
 		"short component": func(s *Snapshot) { s.Vel[1] = s.Vel[1][:s.N-1] },
+		"short reference": func(s *Snapshot) { s.Ref[1] = s.Ref[1][:s.N-1] },
+		"short order":     func(s *Snapshot) { s.Order = s.Order[:s.N-1] },
 		"D too large":     func(s *Snapshot) { s.D = geom.MaxD + 1 },
 		"negative N":      func(s *Snapshot) { s.N = -1 },
 	} {
@@ -316,9 +370,66 @@ func TestSaveFileWarmAllocation(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&m1)
-	payload := uint64(16 * snap.D * snap.N)
+	payload := uint64((24*snap.D + 4) * snap.N)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per >= payload/8 {
 		t.Errorf("a warm SaveFile allocates %d bytes for a %d-byte payload, want under an eighth", per, payload)
+	}
+}
+
+// TestWarmBoundaryAllocation: a durable boundary of a live session —
+// an Advance that gathers the state, FromResult, SaveFile — allocates
+// the two by-id vectors per particle Result carries and nothing else
+// that grows with N: the arrangement, references and order included,
+// lives in storage the session keeps.
+func TestWarmBoundaryAllocation(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, mode := range []core.Mode{core.Serial, core.MPI} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := core.Default(3, 50000)
+			cfg.Seed, cfg.Mode, cfg.CollectState = 3, mode, true
+			if mode == core.MPI {
+				cfg.P = 2
+			}
+			sim, err := core.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			path := filepath.Join(t.TempDir(), "warm.ck")
+			boundary := func() {
+				if err := sim.Advance(1); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := FromResult(&cfg, sim.Result(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := SaveFile(path, snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// No collection from here on: it would empty the encoder's
+			// chunk pool, which the next Save then refills.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			boundary()
+			boundary()
+			const rounds = 4
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < rounds; i++ {
+				boundary()
+			}
+			runtime.ReadMemStats(&m1)
+			byID := uint64(2 * cfg.N * int(unsafe.Sizeof(geom.Vec{})))
+			// The order alone would add 4·N bytes, the references 8·D·N;
+			// 2·N covers what does not grow with N (the temp file, about
+			// 10 KB, and a staging chunk the pool lost to another P).
+			if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per >= byID+uint64(2*cfg.N) {
+				t.Errorf("a warm boundary allocates %d bytes; the by-id state is %d", per, byID)
+			}
+		})
 	}
 }
 

@@ -26,8 +26,9 @@ func fuzzSnapshot(f *testing.F, n int, seed int64) *Snapshot {
 
 // FuzzLoad: Load must never panic, whatever bytes it is handed — torn
 // writes, bit rot, adversarial headers, random garbage. The seed
-// corpus covers two valid checkpoints (free particles; bonds and a
-// tree blob), systematic truncations and bit flips of them, and
+// corpus covers two valid checkpoints (free particles arranged as their
+// run stored them; bonds, a tree blob, references and an out-of-order
+// store), systematic truncations and bit flips of them, and
 // structurally hostile inputs (huge length field, wrong and old magic).
 func FuzzLoad(f *testing.F) {
 	valid := saved(f, fuzzSnapshot(f, 30, 5))
@@ -43,11 +44,12 @@ func FuzzLoad(f *testing.F) {
 	for _, cut := range sections(f, small) {
 		f.Add(full[:cut])
 	}
-	f.Add([]byte("HYDEMCK2\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte("HYDEMCK2\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")) // 4 GiB promised
+	f.Add([]byte("HYDEMCK3\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("HYDEMCK3\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")) // 4 GiB promised
 	f.Add([]byte("HYDEMCK1\x10\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(append([]byte("HYDEMCK2"), valid[8:]...))
 	f.Add([]byte("not a checkpoint at all"))
-	for _, off := range []int{0, 9, 17, headerLen + 3, headerLen + scalarLen + 2} {
+	for _, off := range []int{0, 9, 17, headerLen + 3, headerLen + scalarLen + 2, len(valid) - 4*30 - 8, len(valid) - 2} {
 		mut := append([]byte(nil), valid...)
 		mut[off] ^= 1
 		f.Add(mut)
@@ -75,11 +77,11 @@ func FuzzLoad(f *testing.F) {
 // payload that passes the frame check can still describe a snapshot
 // that is wrong — a dimension or count that does not match its arrays,
 // blob lengths that run past the end, a bond table or ORB tree of
-// garbage, populated fields a configuration disagrees with. Load or
-// Apply must reject every such shape with an error; the gather into
-// cfg.Init must never index out of range. The fuzzer mutates the
-// payload of a valid checkpoint (reframing it so Load's checksum
-// passes) and replays Load+Apply.
+// garbage, an order that is not a permutation, populated fields a
+// configuration disagrees with. Load or Apply must reject every such
+// shape with an error; the gather into cfg.Init must never index out
+// of range. The fuzzer mutates the payload of a valid checkpoint
+// (reframing it so Load's checksum passes) and replays Load+Apply.
 func FuzzApplyDecodedSnapshot(f *testing.F) {
 	payload := saved(f, fuzzSnapshot(f, 24, 11))[headerLen:]
 
@@ -94,6 +96,14 @@ func FuzzApplyDecodedSnapshot(f *testing.F) {
 		mut[off] ^= 0x40
 		f.Add(mut)
 	}
+	// The order section closes the payload: repeat an id, or put one
+	// out of range.
+	dup := append([]byte(nil), payload...)
+	copy(dup[len(dup)-4:], dup[len(dup)-8:len(dup)-4])
+	f.Add(dup)
+	far := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint32(far[len(far)-4:], 24)
+	f.Add(far)
 	grown := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint64(grown[8:], 1<<59+24)
 	f.Add(grown)
@@ -112,9 +122,17 @@ func FuzzApplyDecodedSnapshot(f *testing.F) {
 		}
 		// An accepted snapshot must have produced a full, well-formed
 		// initial state.
-		if applyCfg.Init == nil || len(applyCfg.Init.Pos) != applyCfg.N || len(applyCfg.Init.Vel) != applyCfg.N {
-			t.Fatalf("Apply accepted a snapshot but built state with %d/%d particles",
-				len(applyCfg.Init.Pos), len(applyCfg.Init.Vel))
+		init := applyCfg.Init
+		if init == nil || len(init.Pos) != applyCfg.N || len(init.Vel) != applyCfg.N || len(init.Ref) != applyCfg.N {
+			t.Fatalf("Apply accepted a snapshot but built state with %d/%d/%d particles",
+				len(init.Pos), len(init.Vel), len(init.Ref))
+		}
+		seen := make([]bool, applyCfg.N)
+		for _, id := range init.Order {
+			if seen[id] {
+				t.Fatalf("Apply installed particle %d twice", id)
+			}
+			seen[id] = true
 		}
 	})
 }

@@ -99,18 +99,11 @@ func (m Mode) Distributed() bool { return m == MPI || m == Hybrid || m == MPIsm 
 // asked it to. The run is not lost: the Result returned alongside the
 // error is valid up to the step boundary the cancellation landed on —
 // Iters holds the measured iterations actually completed, and with
-// CollectState set Pos/Vel hold the state at that boundary, exactly
-// what checkpoint.FromResult needs to make the cancellation resumable.
+// CollectState set Pos, Vel and Arrangement hold the state at that
+// boundary, exactly what checkpoint.FromResult needs to make the
+// cancellation resumable.
 // Test with errors.Is(err, ErrCanceled).
 var ErrCanceled = errors.New("core: run canceled")
-
-// stopGrace bounds the latency of a latched Stop request: a run that
-// has not reached a natural list-rebuild boundary within this many
-// further measured steps stops anyway, giving up the bit-exact-resume
-// property for liveness. Rebuild cadence is displacement-driven, so
-// any system in motion rebuilds far more often than this; the bound
-// exists for settled beds that might otherwise never honour a cancel.
-const stopGrace = 256
 
 // Strategy selects the dynamic load-balancing algorithm of the
 // distributed modes. It aliases the decomp type so the name table
@@ -167,10 +160,9 @@ type Config struct {
 	// whole box uniformly.
 	FillHeight float64
 
-	// Init, when non-nil, supplies an explicit initial condition
-	// (positions and velocities indexed by particle ID, both of
-	// length N) and overrides the random fills. Composite-grain
-	// packings enter this way.
+	// Init, when non-nil, supplies an explicit initial condition and
+	// overrides the random fills. Composite-grain packings and
+	// checkpoints enter this way.
 	Init *State
 
 	// Timeline, when non-nil, records per-rank phase spans (comm,
@@ -190,23 +182,13 @@ type Config struct {
 	Probe func(iter int, pos, vel []geom.Vec)
 
 	// Stop, when non-nil, is polled after every measured step: when it
-	// returns true the request is latched and the run stops at the next
-	// step that ends in a list rebuild, returning its partial Result
-	// together with ErrCanceled instead of tearing the process down and
-	// losing everything since the last on-disk checkpoint. At a rebuild
-	// boundary the link list is fresh and the reference positions just
-	// reset, so a run resumed from a checkpoint of it keeps the rebuild
-	// cadence. The guarantee (DESIGN §15): interrupt + resume is
-	// bit-identical, in every mode and with Reorder on, to a session that
-	// takes a Snapshot at that iteration and continues in place — the
-	// contract demd's chunked jobs rest on. Against a run that never
-	// stopped it is bit-identical in Serial/OpenMP with Reorder off, and
-	// otherwise only where the order particles are stored in (no mode
-	// canonicalises it on its own; a resume resets it to ID order) stays
-	// out of the last bit of every force sum: on sparse 2-D systems, not
-	// on dense 3-D beds. A system too settled to rebuild still honours
-	// the request after at most stopGrace further steps (or, under
-	// Sim.AdvanceTo, at the next checkpoint boundary). In the distributed
+	// returns true the run stops after that step and returns its partial
+	// Result together with ErrCanceled, instead of tearing the process
+	// down and losing everything since the last on-disk checkpoint. Every
+	// step boundary is a resumable state: a checkpoint of the partial
+	// Result (checkpoint.FromResult) records the stores as the engine
+	// holds them, and a run opened from it continues bit for bit as the
+	// run that never stopped would have (DESIGN §15). In the distributed
 	// modes rank 0 polls the hook and the verdict is agreed through a
 	// one-element allreduce, so the hook must be cheap (typically an
 	// atomic-flag load). Warm-up iterations are not interruptible: a
@@ -404,9 +386,10 @@ func (c *Config) Validate() error {
 	if c.P < 1 || c.T < 1 || c.BlocksPerProc < 1 {
 		return fmt.Errorf("core: P=%d T=%d BlocksPerProc=%d", c.P, c.T, c.BlocksPerProc)
 	}
-	if c.Init != nil && (len(c.Init.Pos) != c.N || len(c.Init.Vel) != c.N) {
-		return fmt.Errorf("core: Init has %d positions and %d velocities for N=%d",
-			len(c.Init.Pos), len(c.Init.Vel), c.N)
+	if c.Init != nil {
+		if err := c.Init.check(c.N); err != nil {
+			return err
+		}
 	}
 	if bt := c.Spring.Bonds; bt != nil && bt.MaxRest() >= c.RC() {
 		return fmt.Errorf("core: longest bond rest length %g reaches the cutoff %g; bonded pairs would leave the link list",
@@ -506,10 +489,120 @@ func (c *Config) Skin() float64 { return (c.RC() - c.Spring.RMax()) / 2 }
 // Box returns the global simulation box.
 func (c *Config) Box() geom.Box { return geom.NewBox(c.D, c.L, c.BC) }
 
-// State is an explicit initial condition indexed by particle ID.
+// State is an explicit initial condition. Entry i describes particle
+// Order[i] — particle i when Order is nil — at position Pos[i] with
+// velocity Vel[i]; Ref[i], when Ref is non-nil, is where it stood when
+// its link list was built (Pos[i] when Ref is nil). The run places the
+// particles in that order at their reference positions, builds its
+// lists as at any rebuild, then moves them to Pos: from the Order and
+// Ref of a checkpoint this reproduces the run that wrote it bit for bit
+// (Result.Arrangement).
 type State struct {
-	Pos []geom.Vec
-	Vel []geom.Vec
+	Pos   []geom.Vec
+	Vel   []geom.Vec
+	Ref   []geom.Vec // optional
+	Order []int32    // optional: a permutation of [0, N)
+}
+
+// check rejects a state that does not describe n particles once each.
+func (st *State) check(n int) error {
+	if len(st.Pos) != n || len(st.Vel) != n || st.Ref != nil && len(st.Ref) != n || st.Order != nil && len(st.Order) != n {
+		return fmt.Errorf("core: Init has %d positions, %d velocities, %d references and %d ids for N=%d",
+			len(st.Pos), len(st.Vel), len(st.Ref), len(st.Order), n)
+	}
+	seen := make([]bool, n)
+	for i := range st.Pos {
+		id := st.id(i)
+		if id < 0 || int(id) >= n || seen[id] {
+			return fmt.Errorf("core: Init order is not a permutation of [0, %d) (id %d)", n, id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
+// id is the particle entry i describes.
+func (st *State) id(i int) int32 {
+	if st.Order == nil {
+		return int32(i)
+	}
+	return st.Order[i]
+}
+
+// place hands put every particle of the state in its order: its
+// reference position, velocity and id.
+func (st *State) place(put func(ref, vel geom.Vec, id int32)) {
+	for i := range st.Pos {
+		ref := st.Pos[i]
+		if st.Ref != nil {
+			ref = st.Ref[i]
+		}
+		put(ref, st.Vel[i], st.id(i))
+	}
+}
+
+// moved returns the state's positions indexed by particle id when they
+// differ from the positions place handed out, and nil when they do not
+// (or there is no state).
+func (st *State) moved() []geom.Vec {
+	if st == nil || st.Ref == nil {
+		return nil
+	}
+	pos := make([]geom.Vec, len(st.Pos))
+	for i := range st.Pos {
+		pos[st.id(i)] = st.Pos[i]
+	}
+	return pos
+}
+
+// Arrangement is a run's state as the engine holds it at a step
+// boundary: particle Order[i] occupies store slot i — block after block
+// in block-id order in the distributed modes — with position Pos[·][i],
+// velocity Vel[·][i] and reference position Ref[·][i], where its link
+// list was built. Positions are in the engine's own frame: a
+// distributed mode folds a coordinate that left a periodic box only at
+// its next rebuild. Opened as a State (checkpoint.Snapshot.Apply), it
+// rebuilds the lists, halos and references the run had, bit for bit.
+// The slices belong to the session and its next Advance overwrites
+// them.
+type Arrangement struct {
+	Order         []int32
+	Pos, Vel, Ref geom.Coords
+}
+
+// resize gives the arrangement room for n particles in d dimensions,
+// keeping its storage when it has the size already.
+func (a *Arrangement) resize(d, n int) {
+	if len(a.Order) != n {
+		a.Order = make([]int32, n)
+	}
+	for k := 0; k < d; k++ {
+		for _, c := range [...]*geom.Coords{&a.Pos, &a.Vel, &a.Ref} {
+			if len(c[k]) != n {
+				c[k] = make([]float64, n)
+			}
+		}
+	}
+}
+
+// byID returns the state indexed by particle ID, folding a coordinate
+// into box only when it lies outside [0, L) — geom.Box.Fold's identity
+// inside. One walk over the slots: the ids are hit in no order, and a
+// walk per component would miss the cache on each of them D times.
+func (a *Arrangement) byID(box geom.Box) (pos, vel []geom.Vec) {
+	pos, vel = make([]geom.Vec, len(a.Order)), make([]geom.Vec, len(a.Order))
+	for i, id := range a.Order {
+		var x, w geom.Vec
+		for k := 0; k < box.D; k++ {
+			c := a.Pos[k][i]
+			if c < 0 || c >= box.Len[k] { // Fold's own test: Fold does not inline
+				c, _ = box.Fold(c, k)
+			}
+			x[k], w[k] = c, a.Vel[k][i]
+		}
+		pos[id], vel[id] = x, w
+	}
+	return pos, vel
 }
 
 // Result reports one run's measurements.
@@ -538,8 +631,8 @@ type Result struct {
 	// and the warm-up (in the distributed modes after the barrier that
 	// follows them, on rank 0) and stops after the last measured step,
 	// before results are gathered and ranks or teams torn down. Probe,
-	// OnStep and Stop hooks run inside the loop and are included, as is a
-	// Sim's reordering after a Snapshot; a session sums its Advances.
+	// OnStep and Stop hooks run inside the loop and are included; a
+	// session sums its Advances.
 	Wall time.Duration
 
 	// Phase breakdown of PerIter (rank-0 attribution). CommTime is the
@@ -569,8 +662,14 @@ type Result struct {
 	// Checkpoints embed it so a resumed run keeps its decomposition.
 	Tree *decomp.ORBTree
 
-	// Final state indexed by particle ID; nil unless CollectState.
+	// Final state indexed by particle ID, positions folded into the
+	// box; nil unless CollectState.
 	Pos, Vel []geom.Vec
+
+	// Arrangement is the same state as the engine holds it, which a
+	// checkpoint records so that a resume continues on these bits; nil
+	// unless CollectState.
+	Arrangement *Arrangement
 }
 
 // Efficiency returns the parallel efficiency of this result against a

@@ -148,14 +148,16 @@ func checkGather(t *testing.T, cfg Config) {
 			t.Errorf("rank %d: %v particles outside a reflecting box", c.Rank(), left)
 		}
 		compare := func(when string) {
-			got, gotV := r.gather()
+			arr := new(Arrangement)
+			r.gather(arr)
 			want, wantV := referenceGather(r)
 			if c.Rank() != 0 {
-				if got != nil || gotV != nil {
+				if arr.Order != nil {
 					t.Errorf("rank %d received state", c.Rank())
 				}
 				return
 			}
+			got, gotV := arr.byID(box)
 			if len(got) != cfg.N || len(gotV) != cfg.N {
 				t.Fatalf("%s: gathered %d positions and %d velocities for N=%d", when, len(got), len(gotV), cfg.N)
 			}
@@ -168,6 +170,7 @@ func checkGather(t *testing.T, cfg Config) {
 					}
 				}
 			}
+			checkArrangement(t, when, arr, l, box, want, wantV)
 		}
 		compare("after stepping")
 		compare("second call, warm buffers")
@@ -188,9 +191,43 @@ func checkGather(t *testing.T, cfg Config) {
 	})
 }
 
+// checkArrangement holds a gathered arrangement to the state gathered by
+// id beside it: every particle once, block after block in block-id
+// order of the references, the same velocity bits, and positions that
+// fold to the same bits — the arrangement carries them unfolded.
+func checkArrangement(t *testing.T, when string, arr *Arrangement, l *decomp.Layout, box geom.Box, pos, vel []geom.Vec) {
+	t.Helper()
+	seen := make([]bool, len(pos))
+	prev := 0
+	for i, id := range arr.Order {
+		if seen[id] {
+			t.Fatalf("%s: particle %d stored twice", when, id)
+		}
+		seen[id] = true
+		var ref geom.Vec
+		for k := 0; k < box.D; k++ {
+			ref[k] = arr.Ref[k][i]
+			p, _ := box.Fold(arr.Pos[k][i], k)
+			if math.Float64bits(p) != math.Float64bits(pos[id][k]) || math.Float64bits(arr.Vel[k][i]) != math.Float64bits(vel[id][k]) {
+				t.Fatalf("%s: slot %d (particle %d) component %d: arranged (%.17g, %.17g), gathered (%.17g, %.17g)",
+					when, i, id, k, arr.Pos[k][i], arr.Vel[k][i], pos[id][k], vel[id][k])
+			}
+		}
+		if blk := l.BlockOfPos(ref); blk < prev {
+			t.Fatalf("%s: slot %d holds a core of block %d after block %d", when, i, blk, prev)
+		} else {
+			prev = blk
+		}
+	}
+	if len(arr.Order) != len(pos) {
+		t.Fatalf("%s: arranged %d of %d particles", when, len(arr.Order), len(pos))
+	}
+}
+
 // TestSharedGatherMatchesReference: the shared modes' gather is the
 // same scatter over the one store; it hands back what the per-particle
-// PosAt/VelAt loop it replaced handed back.
+// PosAt/VelAt loop it replaced handed back, and arranges the store as
+// it stands.
 func TestSharedGatherMatchesReference(t *testing.T) {
 	for _, mode := range []Mode{Serial, OpenMP} {
 		cfg := Default(3, 1500)
@@ -205,10 +242,20 @@ func TestSharedGatherMatchesReference(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			s.step() // long enough to reorder the store
 		}
-		pos, vel := s.gather()
+		arr := new(Arrangement)
+		s.gather(arr)
+		pos, vel := arr.byID(s.box)
 		for i, id := range s.ps.ID[:cfg.N] {
 			if pos[id] != s.ps.PosAt(i) || vel[id] != s.ps.VelAt(i) {
 				t.Fatalf("%v: particle %d: gathered (%v, %v), store (%v, %v)", mode, id, pos[id], vel[id], s.ps.PosAt(i), s.ps.VelAt(i))
+			}
+			if arr.Order[i] != id {
+				t.Fatalf("%v: slot %d arranged as particle %d, stores %d", mode, i, arr.Order[i], id)
+			}
+			for k := 0; k < cfg.D; k++ {
+				if arr.Pos[k][i] != s.ps.Pos[k][i] || arr.Vel[k][i] != s.ps.Vel[k][i] || arr.Ref[k][i] != s.ref[k][i] {
+					t.Fatalf("%v: slot %d component %d differs from the store", mode, i, k)
+				}
 			}
 		}
 		s.close()

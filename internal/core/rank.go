@@ -38,9 +38,12 @@ type rankSim struct {
 
 	linkCost, contactCost, updCost, partCost float64
 
-	// gather's send buffers, kept between calls (ranks above 0).
+	// gather's buffers, kept between calls: a sending rank's message,
+	// and on rank 0 every block's cores and the messages holding them.
 	gatherF []float64
 	gatherI []int32
+	runs    []blockRun
+	held    []heldMsg
 
 	tally
 }
@@ -683,12 +686,6 @@ func (r *rankSim) agree(stop bool) bool {
 
 func (r *rankSim) offer(sink *snapCollector, iter int) { sink.offer(iter, r.dm) }
 
-// canonicalise: as sharedSim's, for the order Place builds per block.
-func (r *rankSim) canonicalise() {
-	r.dm.RebuildCanonical(r.cfg.N, r.cfg.Reorder)
-	r.rebuilt()
-}
-
 func (r *rankSim) report() part {
 	p := part{tally: r.tally, clock: r.clock(), nlinks: r.dm.NumLinks(), tc: r.dm.TC}
 	p.tc.Add(&r.c.TC)
@@ -703,76 +700,135 @@ func (r *rankSim) report() part {
 
 const stateGatherTag = 1 << 28 // far above the exchange phases' tag space
 
-// gather collects every rank's core particles onto rank 0, indexed by
-// persistent particle ID, with the deferred periodic wrap applied. All
-// ranks must call it; only rank 0 receives the state (the others
-// return nil slices).
+// blockRun is one block's cores as rank 0's gather finds them, in the
+// block's store or in its owner's message: ids, then positions,
+// velocities and reference positions.
+type blockRun struct {
+	ids []int32
+	x   [3]geom.Coords
+}
+
+// heldMsg is a gather message rank 0 reads from until the state is
+// arranged.
+type heldMsg struct {
+	f   []float64
+	ids []int32
+}
+
+// gather arranges every rank's core particles into arr on rank 0 as the
+// ranks store them: the cores of block 0, then block 1, and so on,
+// positions unfolded, references alongside. All ranks must call it.
 //
-// A sending rank's state travels as one message: the ids of its core
-// particles, block after block, and 2·D component streams of that
-// length — positions component by component, then velocities — copied
-// straight out of the blocks' component arrays into a buffer the rank
-// keeps. Coordinates go as they stand; rank 0 folds the few that lie
-// outside the box as it scatters them, and scatters its own blocks
-// from their stores without packing them.
-func (r *rankSim) gather() (pos, vel []geom.Vec) {
+// A sending rank's state travels as one message: ints [nb, then block
+// id and core count for each of its nb blocks, then the ids of their
+// cores, block after block], and 3·D component streams of that length —
+// positions component by component, then velocities, then reference
+// positions — copied straight out of the blocks' component arrays into
+// buffers the rank keeps. Rank 0 reads its own blocks from their stores.
+func (r *rankSim) gather(arr *Arrangement) {
 	cfg, c := r.cfg, r.c
 	d := cfg.D
 	if c.Rank() != 0 {
-		n := r.dm.NumCore()
-		if cap(r.gatherI) < n {
-			// An eighth to spare: the rank's core count drifts with migration.
-			r.gatherF, r.gatherI = make([]float64, 2*d*(n+n/8)), make([]int32, n+n/8)
-		}
-		f, ids := r.gatherF[:2*d*n], r.gatherI[:n]
-		at := 0
-		for _, b := range r.dm.Blocks {
-			nb := b.NCore
-			copy(ids[at:], b.PS.ID[:nb])
-			for k := 0; k < d; k++ {
-				copy(f[k*n+at:], b.PS.Pos[k][:nb])
-				copy(f[(d+k)*n+at:], b.PS.Vel[k][:nb])
-			}
-			at += nb
-		}
-		c.Send(0, stateGatherTag, f, ids)
-		return nil, nil
+		f, ints := r.pack()
+		c.Send(0, stateGatherTag, f, ints)
+		return
 	}
-	box := cfg.Box()
-	pos = make([]geom.Vec, cfg.N)
-	vel = make([]geom.Vec, cfg.N)
+	if len(r.runs) != r.dm.L.B {
+		r.runs = make([]blockRun, r.dm.L.B)
+	}
 	for _, b := range r.dm.Blocks {
-		scatterByID(pos, vel, &b.PS.Pos, &b.PS.Vel, b.PS.ID[:b.NCore], box)
+		run, nc := &r.runs[b.ID], b.NCore
+		run.ids = b.PS.ID[:nc]
+		for s, src := range [...]*geom.Coords{&b.PS.Pos, &b.PS.Vel, &b.RefPos} {
+			for k := 0; k < d; k++ {
+				run.x[s][k] = src[k][:nc]
+			}
+		}
 	}
 	for src := 1; src < cfg.P; src++ {
-		f, ids := c.Recv(src, stateGatherTag)
-		n := len(ids)
-		var p, v geom.Coords
-		for k := 0; k < d; k++ {
-			p[k], v[k] = f[k*n:(k+1)*n], f[(d+k)*n:(d+k+1)*n]
+		f, ints := c.Recv(src, stateGatherTag)
+		r.held = append(r.held, heldMsg{f, ints})
+		nb := int(ints[0])
+		blocks, ids := ints[1:1+2*nb], ints[1+2*nb:]
+		n, at := len(ids), 0
+		for j := 0; j < nb; j++ {
+			run, nc := &r.runs[blocks[2*j]], int(blocks[2*j+1])
+			run.ids = ids[at : at+nc]
+			for s := range run.x {
+				for k := 0; k < d; k++ {
+					o := (s*d+k)*n + at
+					run.x[s][k] = f[o : o+nc]
+				}
+			}
+			at += nc
 		}
-		scatterByID(pos, vel, &p, &v, ids, box)
-		c.FreeBuffers(f, ids)
 	}
-	return pos, vel
+	arr.resize(d, cfg.N)
+	at := 0
+	for i := range r.runs {
+		run := &r.runs[i]
+		copy(arr.Order[at:], run.ids)
+		for s, dst := range [...]*geom.Coords{&arr.Pos, &arr.Vel, &arr.Ref} {
+			for k := 0; k < d; k++ {
+				copy(dst[k][at:], run.x[s][k])
+			}
+		}
+		at += len(run.ids)
+		*run = blockRun{} // the stores and messages it points into move on
+	}
+	for i, m := range r.held {
+		c.FreeBuffers(m.f, m.ids)
+		r.held[i] = heldMsg{}
+	}
+	r.held = r.held[:0]
 }
 
-// scatterByID writes particle i of the component streams p and v to
-// slot ids[i] of pos and vel, folding a coordinate into the box only
-// when it lies outside [0, L) — geom.Box.Fold's identity inside. One
-// walk over the particles: the slots are hit in no order, and a walk
-// per component would miss the cache on each of them D times.
-func scatterByID(pos, vel []geom.Vec, p, v *geom.Coords, ids []int32, box geom.Box) {
-	for i, id := range ids {
-		var x, w geom.Vec
-		for k := 0; k < box.D; k++ {
-			c := p[k][i]
-			if c < 0 || c >= box.Len[k] { // Fold's own test: Fold does not inline
-				c, _ = box.Fold(c, k)
+// pack lays a sending rank's cores out as gather's message describes,
+// in buffers the rank keeps.
+func (r *rankSim) pack() ([]float64, []int32) {
+	d := r.cfg.D
+	n, nb := r.dm.NumCore(), len(r.dm.Blocks)
+	if ni := 1 + 2*nb + n; cap(r.gatherI) < ni {
+		// An eighth to spare: the rank's core count drifts with migration.
+		r.gatherI = make([]int32, ni+ni/8)
+	}
+	if cap(r.gatherF) < 3*d*n {
+		r.gatherF = make([]float64, 3*d*(n+n/8))
+	}
+	f, ints := r.gatherF[:3*d*n], r.gatherI[:1+2*nb+n]
+	ints[0] = int32(nb)
+	at := 0
+	for j, b := range r.dm.Blocks {
+		nc := b.NCore
+		ints[1+2*j], ints[2+2*j] = int32(b.ID), int32(nc)
+		copy(ints[1+2*nb+at:], b.PS.ID[:nc])
+		for s, src := range [...]*geom.Coords{&b.PS.Pos, &b.PS.Vel, &b.RefPos} {
+			for k := 0; k < d; k++ {
+				copy(f[(s*d+k)*n+at:], src[k][:nc])
 			}
-			x[k], w[k] = c, v[k][i]
 		}
-		pos[id], vel[id] = x, w
+		at += nc
+	}
+	return f, ints
+}
+
+// moveTo puts every core particle at pos[id], in the image nearest its
+// reference position — the frame the deferred wrap keeps cores in —
+// once the lists have been built at the reference positions.
+func (r *rankSim) moveTo(pos []geom.Vec) {
+	box := r.cfg.Box()
+	for _, b := range r.dm.Blocks {
+		for i, id := range b.PS.ID[:b.NCore] {
+			for k := 0; k < box.D; k++ {
+				x, h := pos[id][k], box.HalfLength(k)
+				if dx := x - b.RefPos[k][i]; dx > h {
+					x -= box.Len[k]
+				} else if dx < -h {
+					x += box.Len[k]
+				}
+				b.PS.Pos[k][i] = x
+			}
+		}
 	}
 }
 
@@ -798,6 +854,10 @@ func (s *Sim) startWorld() {
 		if restore = s.sink.snapshot(); restore != nil {
 			s.iters, cfg.Warmup = restore.iter, 0
 		}
+	}
+	var moved []geom.Vec // where an Init's particles go once built at their references
+	if restore == nil {
+		moved = cfg.Init.moved()
 	}
 	if s.attempt > 0 && s.ft.OnRetry != nil {
 		s.ft.OnRetry(s.attempt, s.iters)
@@ -843,13 +903,14 @@ func (s *Sim) startWorld() {
 					b.NCore = len(snap.ids)
 				}
 			case cfg.Init != nil:
-				for i := 0; i < cfg.N; i++ {
-					r.dm.Place(cfg.Init.Pos[i], cfg.Init.Vel[i], int32(i))
-				}
+				cfg.Init.place(r.dm.Place)
 			default:
 				r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
 			}
 			r.rebuild()
+			if moved != nil {
+				r.moveTo(moved)
+			}
 			for i := 0; i < cfg.Warmup; i++ {
 				c.FaultPoint(i)
 				r.step()

@@ -23,7 +23,6 @@ type sharedSim struct {
 	list    *cell.List
 	listBuf cell.ListBuffer // serial-path link storage, reused across rebuilds
 	ref     geom.Coords     // position snapshot at last rebuild, reused
-	perm    []int32         // canonicalise's inverse of the ID array, reused
 
 	team *shm.Team // nil in Serial mode
 	upd  *shm.Updater
@@ -55,9 +54,7 @@ func newSharedSim(cfg Config) (*sharedSim, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	switch {
 	case cfg.Init != nil:
-		for i := 0; i < cfg.N; i++ {
-			s.ps.Append(cfg.Init.Pos[i], cfg.Init.Vel[i], int32(i))
-		}
+		cfg.Init.place(func(ref, vel geom.Vec, id int32) { s.ps.Append(ref, vel, id) })
 	case cfg.FillHeight > 0 && cfg.FillHeight < 1:
 		particle.FillClustered(s.ps, cfg.N, s.box, cfg.FillHeight, cfg.InitVel, 0, rng)
 	case cfg.InitVel > 0:
@@ -74,6 +71,13 @@ func newSharedSim(cfg Config) (*sharedSim, error) {
 	wrap := s.box.BC == geom.Periodic
 	s.grid = cell.NewGrid(cfg.D, geom.Vec{}, s.box.Len, cfg.RC(), wrap)
 	s.rebuild()
+	if pos := cfg.Init.moved(); pos != nil {
+		for i, id := range s.ps.ID[:cfg.N] {
+			for k := 0; k < cfg.D; k++ {
+				s.ps.Pos[k][i] = pos[id][k]
+			}
+		}
+	}
 	return s, nil
 }
 
@@ -211,27 +215,16 @@ func (s *sharedSim) step() float64 {
 	return elapsed
 }
 
-// gather returns the current state indexed by particle ID.
-func (s *sharedSim) gather() (pos, vel []geom.Vec) {
+// gather arranges the store as it stands into arr.
+func (s *sharedSim) gather(arr *Arrangement) {
 	n := s.cfg.N
-	pos = make([]geom.Vec, n)
-	vel = make([]geom.Vec, n)
-	scatterByID(pos, vel, &s.ps.Pos, &s.ps.Vel, s.ps.ID[:n], s.box)
-	return pos, vel
-}
-
-// canonicalise puts the store back in particle-ID order, as newSharedSim
-// builds it from an Init, and rebuilds: the session continues on the
-// bits of a run resumed from a checkpoint of this state.
-func (s *sharedSim) canonicalise() {
-	if s.perm == nil {
-		s.perm = make([]int32, s.cfg.N)
+	arr.resize(s.cfg.D, n)
+	copy(arr.Order, s.ps.ID[:n])
+	for k := 0; k < s.cfg.D; k++ {
+		copy(arr.Pos[k], s.ps.Pos[k][:n])
+		copy(arr.Vel[k], s.ps.Vel[k][:n])
+		copy(arr.Ref[k], s.ref[k][:n])
 	}
-	for i, id := range s.ps.ID[:s.cfg.N] {
-		s.perm[id] = int32(i)
-	}
-	s.ps.Permute(s.perm)
-	s.rebuild()
 }
 
 // The rest of the stepper interface: its own leader, nobody to agree

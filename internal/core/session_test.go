@@ -3,18 +3,16 @@ package core
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"hybriddem/internal/mp"
-	"hybriddem/internal/raceflag"
 	"hybriddem/internal/shm"
 )
 
 // bedConfig is a dense, lively 3-D bed: the order forces are summed in
-// shows up in the last bit within a few steps, so a boundary that failed
-// to canonicalise (or a rollback that skipped one) cannot pass a bit
-// comparison by luck.
+// shows up in the last bit within a few steps, so a rollback that
+// restored a store in any other order cannot pass a bit comparison by
+// luck.
 func bedConfig(mode Mode) Config {
 	cfg := Default(3, 1500)
 	cfg.Seed = 17
@@ -122,12 +120,10 @@ func TestAdvanceToGrid(t *testing.T) {
 	}
 }
 
-// TestAdvanceToHonoursLatchedStopAtBoundary: a bed too settled to
-// rebuild never reaches a rebuild boundary and a chunk is shorter than
-// the grace, so the latched request is honoured at the next grid
-// boundary — the canonical state a chunked run resumes from anyway —
-// instead of leaking from chunk to chunk until the run completes.
-func TestAdvanceToHonoursLatchedStopAtBoundary(t *testing.T) {
+// TestAdvanceToSavesWhereStopCuts: a Stop request is honoured at the
+// step it is seen, between two grid boundaries or not, and that step is
+// saved — on a bed at rest, which never rebuilds, as on any other.
+func TestAdvanceToSavesWhereStopCuts(t *testing.T) {
 	cfg := Default(2, 200) // at rest
 	cfg.CollectState = true
 	cfg.Stop = func() bool { return true }
@@ -136,20 +132,19 @@ func TestAdvanceToHonoursLatchedStopAtBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	saved := 0
-	done, err := s.AdvanceTo(0, 100, 10, func(*Result, int) error { saved++; return nil })
-	if !errors.Is(err, ErrCanceled) || done != 10 || saved != 1 {
-		t.Fatalf("AdvanceTo = %d, %v after %d saves; want 10, ErrCanceled, 1 save", done, err, saved)
+	var saved []int
+	done, err := s.AdvanceTo(0, 100, 10, func(_ *Result, done int) error { saved = append(saved, done); return nil })
+	if !errors.Is(err, ErrCanceled) || done != 1 || !reflect.DeepEqual(saved, []int{1}) {
+		t.Fatalf("AdvanceTo = %d, %v after saves at %v; want 1, ErrCanceled, one save at 1", done, err, saved)
 	}
 }
 
-// TestSupervisedRollbackReplaysSnapshotBoundaries: a supervised session
-// that rolls back across Snapshot boundaries it has already passed must
-// canonicalise at each of them again during the replay, or the
-// recovered run leaves the trajectory of the unfaulted one. Cadence 1
-// rolls back a few steps; cadence 1000 keeps only the first snapshot,
-// so the replay crosses several boundaries.
-func TestSupervisedRollbackReplaysSnapshotBoundaries(t *testing.T) {
+// TestSupervisedRollbackAcrossChunkBoundaries: a supervised session
+// that rolls back across chunk boundaries it has already saved replays
+// them on the unfaulted session's bits. Cadence 1 rolls back a few
+// steps; cadence 1000 keeps only the first snapshot, so the replay
+// crosses several boundaries.
+func TestSupervisedRollbackAcrossChunkBoundaries(t *testing.T) {
 	const total, every = 24, 4
 	chunked := func(cfg Config, ft FTConfig) *Result {
 		t.Helper()
@@ -180,43 +175,9 @@ func TestSupervisedRollbackReplaysSnapshotBoundaries(t *testing.T) {
 			}
 			for i := range want.Pos {
 				if want.Pos[i] != got.Pos[i] || want.Vel[i] != got.Vel[i] {
-					t.Fatalf("%v every=%d: particle %d diverged after a rollback across snapshot boundaries", mode, snapEvery, i)
+					t.Fatalf("%v every=%d: particle %d diverged after a rollback across chunk boundaries", mode, snapEvery, i)
 				}
 			}
-		}
-	}
-}
-
-// TestCanonicaliseReusesScratch: returning the shared store to
-// particle-ID order at a snapshot boundary builds its permutation in
-// scratch the simulation keeps, so a warm boundary — permute, rebin,
-// rebuild the list — allocates no per-particle slice.
-func TestCanonicaliseReusesScratch(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("race detector instrumentation allocates")
-	}
-	for _, mode := range []Mode{Serial, OpenMP} {
-		cfg := Default(2, 5000)
-		cfg.Mode, cfg.InitVel = mode, 2
-		if mode == OpenMP {
-			cfg.T = 2
-		}
-		s, err := newSharedSim(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			s.step()
-		}
-		s.canonicalise() // the first boundary grows the scratch
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		s.step()
-		s.canonicalise()
-		runtime.ReadMemStats(&m1)
-		s.close()
-		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= uint64(4*cfg.N) {
-			t.Errorf("%v: a warm boundary allocates %d bytes; one int32 per particle is %d", mode, grew, 4*cfg.N)
 		}
 	}
 }

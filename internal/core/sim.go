@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"hybriddem/internal/decomp"
@@ -20,8 +19,7 @@ type stepper interface {
 	agree(stop bool) bool                // the leader's verdict, known to every stepper
 	faultPoint(step int)                 // chaos injection site, before each step
 	offer(sink *snapCollector, iter int) // rollback snapshot of a just-rebuilt state
-	gather() (pos, vel []geom.Vec)       // collective; the leader receives the state by particle ID
-	canonicalise()                       // particle-ID order, then the ordinary rebuild
+	gather(arr *Arrangement)             // collective; the leader receives the state into arr
 	report() part
 }
 
@@ -65,15 +63,12 @@ type Sim struct {
 	w     *world     // the distributed modes' live engine
 	parts []part     // per stepper, as of the end of the last Advance
 
-	iters  int   // measured iterations the live engine has completed
-	hooked int   // ... that Probe and OnStep have been told of (ahead of iters after a rollback)
-	base   int   // cumulative iterations before this session's first (AdvanceTo)
-	canon  []int // iterations before which the stores return to canonical order: one per Snapshot
+	iters  int // measured iterations the live engine has completed
+	hooked int // ... that Probe and OnStep have been told of (ahead of iters after a rollback)
+	base   int // cumulative iterations before this session's first (AdvanceTo)
 
-	stopReq bool // Stop has asked; latched for the session, leader-only while a loop runs
-	grace   int  // steps left before the request is honoured without a rebuild
-
-	pos, vel []geom.Vec // state gathered by the last Advance under CollectState
+	pos, vel []geom.Vec  // state gathered by the last Advance under CollectState
+	arr      Arrangement // ... and its arrangement, in storage the session keeps
 
 	// Supervision (supervisor.go); ft is nil for a session a fault ends.
 	ft      *FTConfig
@@ -171,11 +166,7 @@ func (s *Sim) loop(st stepper, to int) {
 	stopped := false
 	start := time.Now()
 	i := s.iters
-	for k := sort.SearchInts(s.canon, i); i < to && !stopped; i++ {
-		if k < len(s.canon) && s.canon[k] == i {
-			st.canonicalise()
-			k++
-		}
+	for ; i < to && !stopped; i++ {
 		// Absolute step numbers: a chaos schedule means the same step
 		// however the run is cut into sessions, chunks and retries.
 		st.faultPoint(cfg.Warmup + s.base + i)
@@ -187,7 +178,9 @@ func (s *Sim) loop(st stepper, to int) {
 		// and redelivering them would corrupt captures and event streams.
 		fresh := lead && i >= s.hooked
 		if cfg.Probe != nil {
-			if pos, vel := st.gather(); fresh {
+			st.gather(&s.arr)
+			if fresh {
+				pos, vel := s.arr.byID(cfg.Box())
 				cfg.Probe(i, pos, vel)
 			}
 		}
@@ -203,19 +196,9 @@ func (s *Sim) loop(st stepper, to int) {
 			st.offer(s.sink, i+1)
 		}
 		if cfg.Stop != nil {
-			// The leader polls the hook, latches the request and honours
-			// it at the next rebuild boundary, or when the grace runs out.
-			stop := false
-			if lead {
-				if !s.stopReq && cfg.Stop() {
-					s.stopReq, s.grace = true, stopGrace
-				}
-				if s.stopReq {
-					stop = rebuilt || s.grace <= 0
-					s.grace--
-				}
-			}
-			stopped = st.agree(stop)
+			// The leader polls the hook; every step boundary is a state a
+			// resume reproduces, so the request is honoured here.
+			stopped = st.agree(lead && cfg.Stop())
 		}
 	}
 	t.wall += time.Since(start)
@@ -223,8 +206,9 @@ func (s *Sim) loop(st stepper, to int) {
 	p.iters, p.stopped = i, stopped
 	s.parts[st.rank()] = p
 	if cfg.CollectState { // after the report: the gather is not part of the run it describes
-		if pos, vel := st.gather(); lead {
-			s.pos, s.vel = pos, vel
+		st.gather(&s.arr)
+		if lead {
+			s.pos, s.vel = s.arr.byID(cfg.Box())
 		}
 	}
 }
@@ -251,6 +235,9 @@ func (s *Sim) Result() *Result {
 		Pos:          s.pos,
 		Vel:          s.vel,
 	}
+	if s.pos != nil {
+		res.Arrangement = &s.arr
+	}
 	// Reduced in rank order, like the collectives that used to do it.
 	var timed, clock, maxLoad, sumLoad float64
 	for i := range s.parts {
@@ -276,24 +263,13 @@ func (s *Sim) Result() *Result {
 	return res
 }
 
-// Snapshot is Result — after an Advance under Config.CollectState, what
-// checkpoint.FromResult takes — plus a promise: the session continues
-// as a run resumed from that checkpoint would. Before its next step the
-// stores return to particle-ID order and are rebuilt, O(N), in place.
-func (s *Sim) Snapshot() *Result {
-	if n := len(s.canon); n == 0 || s.canon[n-1] != s.iters {
-		s.canon = append(s.canon, s.iters)
-	}
-	return s.Result()
-}
-
 // AdvanceTo runs the session from cumulative iteration done (what the
 // checkpoint it was opened from held) to total and, when save is
-// non-nil, hands it a Snapshot at every absolute multiple of every
-// (0: none) and at the end: a resumed run's short first chunk puts it
-// back on the grid an unbroken run visits. It returns the count
-// reached, with ErrCanceled when Stop cut the run short — at a rebuild
-// boundary, or at the first grid boundary after it latched; both saved.
+// non-nil, hands it the Result at every absolute multiple of every
+// (0: none), at the end, and where Stop cut the run short — then with
+// ErrCanceled. Saving changes nothing about the run: under
+// Config.CollectState each is the state a resume continues from bit
+// for bit, whatever the cadence.
 func (s *Sim) AdvanceTo(done, total, every int, save func(snap *Result, done int) error) (int, error) {
 	s.base = done - s.iters
 	for done < total {
@@ -307,12 +283,12 @@ func (s *Sim) AdvanceTo(done, total, every int, save func(snap *Result, done int
 		}
 		done = s.base + s.iters
 		if save != nil {
-			if serr := save(s.Snapshot(), done); serr != nil {
+			if serr := save(s.Result(), done); serr != nil {
 				return done, serr
 			}
 		}
-		if err != nil || s.stopReq && done < total {
-			return done, ErrCanceled
+		if err != nil {
+			return done, err
 		}
 	}
 	return done, nil

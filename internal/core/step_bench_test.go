@@ -183,11 +183,13 @@ func BenchmarkStepBedHybridT2(b *testing.B) {
 }
 
 // benchChunkBoundary times what a durable chunk costs the engine: a run
-// advanced through AdvanceTo with a save every second step — the
-// gather, the Snapshot and, before the next step, the return to
-// canonical order with its rebuild — against the same run unbroken,
-// per boundary crossed. The save keeps the gathered state in memory;
-// encoding and the disk are the checkpoint package's benchmarks.
+// advanced through AdvanceTo with a save every second step — the end of
+// an Advance, the gather of the state by particle id and as the stores
+// hold it, the Result — against the same run unbroken, per boundary
+// crossed. Nothing is rebuilt: the run continues on the same lists. The
+// save keeps the gathered state in memory; encoding and the disk are
+// the checkpoint package's benchmarks. CI's boundary gate holds it to
+// 4x the StepChunkBed step of the same bed.
 func benchChunkBoundary(b *testing.B, cfg Config) {
 	const iters, every = 12, 2
 	cfg.CollectState = true
@@ -231,4 +233,17 @@ func BenchmarkChunkBoundaryMPI(b *testing.B) {
 	cfg := chunkBed(MPI)
 	cfg.P = 2
 	benchChunkBoundary(b, cfg)
+}
+
+// The StepChunkBed benchmarks time one step of the chunk bed, the unit
+// a boundary's cost is judged in.
+
+func BenchmarkStepChunkBedSerial(b *testing.B) {
+	benchShared(b, chunkBed(Serial), steadyWarm)
+}
+
+func BenchmarkStepChunkBedMPI(b *testing.B) {
+	cfg := chunkBed(MPI)
+	cfg.P = 2
+	benchDistributed(b, cfg, steadyWarm)
 }

@@ -192,8 +192,8 @@ type FTConfig struct {
 // the last complete snapshot and re-runs it, after a rank kill on a
 // degraded layout that redistributes the dead rank's blocks over the
 // surviving P-1 ranks. Recovery is bit-exact: the re-executed
-// trajectory, Snapshot boundaries included, and every Probe and OnStep
-// delivery are bit-identical to an unfaulted session's. Retries
+// trajectory and every Probe and OnStep delivery are bit-identical to
+// an unfaulted session's. Retries
 // exhausted (or a single-rank layout losing its only rank) end the
 // session with the fault as an unrecoverable error (demrun: exit 3).
 // After a recovery, Result describes the world that finished.

@@ -123,11 +123,6 @@ type Domain struct {
 	rebalT1      float64
 	rebalanced   bool
 
-	// sortCoresByID's tables over the id space and the per-block
-	// permutations cut from one backing array.
-	idSlot, idAt, idPerm []int32
-	idPerms              [][]int32
-
 	// ORB state: the adopted tree (nil until the first ORB epoch, or
 	// seeded from a checkpoint) and the scratch tree the next candidate
 	// is built into; the repartitioner swaps them on adoption.
@@ -282,24 +277,6 @@ func (dm *Domain) DisplacementValid(localMax2, skin float64) bool {
 // grid and link list and snapshot reference positions.
 func (dm *Domain) Rebuild(reorder bool) {
 	dm.migrate()
-	dm.rebuildMigrated(reorder)
-}
-
-// RebuildCanonical is Rebuild with every block's core particles sorted
-// by ascending particle id right after the migration — the arrangement
-// Place builds from an id-indexed state. It therefore continues a live
-// domain on the same bits as a domain re-placed from a checkpoint of
-// this state and rebuilt, with nothing torn down and the migration run
-// once. Ids are dense in [0, n).
-func (dm *Domain) RebuildCanonical(n int, reorder bool) {
-	dm.migrate()
-	dm.sortCoresByID(n)
-	dm.rebuildMigrated(reorder)
-}
-
-// rebuildMigrated is the rebuild from the point where every core
-// particle is wrapped and in its home block.
-func (dm *Domain) rebuildMigrated(reorder bool) {
 	if dm.Rebalance.Enabled() {
 		dm.rebalance()
 	} else {
@@ -313,43 +290,6 @@ func (dm *Domain) rebuildMigrated(reorder bool) {
 		dm.buildWinExchange()
 	}
 	dm.buildLists()
-}
-
-// sortCoresByID puts every block's core in ascending id order in one
-// O(n) pass per rank: two tables over the dense id space record which
-// owned block holds each id and where, and a walk of them in id order
-// deals each block its permutation. Tables and permutations live on
-// the Domain, so a warm call allocates nothing.
-func (dm *Domain) sortCoresByID(n int) {
-	if cap(dm.idSlot) < n {
-		dm.idSlot, dm.idAt = make([]int32, n), make([]int32, n)
-	}
-	slot := dm.idSlot[:n] // 1 + the slot of the owned block holding the id; 0: not on this rank
-	at := dm.idAt[:n]     // its index in that block's store
-	clear(slot)
-	if nc := dm.NumCore(); cap(dm.idPerm) < nc {
-		// An eighth to spare, as particle.Store.Permute keeps: a rank's
-		// core count drifts from boundary to boundary.
-		dm.idPerm = make([]int32, nc+nc/8)
-	}
-	dm.idPerms = dm.idPerms[:0]
-	base := 0
-	for s, b := range dm.Blocks {
-		for i, id := range b.PS.ID[:b.NCore] {
-			slot[id], at[id] = int32(s+1), int32(i)
-		}
-		dm.idPerms = append(dm.idPerms, dm.idPerm[base:base:base+b.NCore])
-		base += b.NCore
-	}
-	for id, s := range slot {
-		if s != 0 {
-			dm.idPerms[s-1] = append(dm.idPerms[s-1], at[id])
-		}
-	}
-	for s, b := range dm.Blocks {
-		b.PS.Permute(dm.idPerms[s])
-		dm.C.Compute(float64(b.NCore) * dm.PackCost)
-	}
 }
 
 // reorderCores permutes each block's core particles into cell order

@@ -79,19 +79,16 @@ func compareCk(t *testing.T, refPath, gotPath string) {
 // leave it) restarts on the same data dir, re-adopts the job, resumes
 // it from the last durable checkpoint, and the final state is bit-for-
 // bit the state a never-crashed daemon of the same configuration
-// produces. (The reference daemon is durable too: the checkpoint
-// cadence defines the chunk grid, which is part of the trajectory —
-// see the chunk-alignment note in execute.)
+// produces.
 func TestRecoveryResumeBitExact(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
 
-	// Lively spec so the link list rebuilds often; noreorder because
-	// bit-exact resume needs the cache reordering off. The total is
+	// Lively spec so the link list rebuilds often. The total is
 	// generous so the crash provably lands mid-run on any machine.
 	const total = 8000
 	spec := JobSpec{D: 2, N: 300, Iters: total, Warm: 1, Vel: 4, RC: 1.2,
-		NoReorder: true, CheckpointEvery: 25}
+		CheckpointEvery: 25}
 
 	// Reference: an unbroken run on its own durable daemon.
 	ref := newDurable(t, Options{Workers: 1, DataDir: filepath.Join(dir, "refdata")})
@@ -250,7 +247,7 @@ func TestRetryTransientFaultCompletes(t *testing.T) {
 	})
 
 	spec := JobSpec{D: 2, N: 100, Iters: 60, Mode: "mpi", P: 1,
-		NoReorder: true, CheckpointEvery: 20}
+		CheckpointEvery: 20}
 
 	refSpec := spec
 	refSpec.Checkpoint = filepath.Join(dir, "ref.ck")
@@ -366,13 +363,9 @@ func TestDeadlineWallClock(t *testing.T) {
 	}
 }
 
-// TestDeadlineShortChunks: the stop latch must survive chunk
-// boundaries. With a durable cadence shorter than core's in-run grace
-// budget, a chunk can end before a latched stop is honoured (no
-// rebuild falls inside it); the worker must then honour the request at
-// the boundary instead of re-arming the latch with a fresh budget in
-// the next chunk — which would let the job run to completion past its
-// deadline.
+// TestDeadlineShortChunks: a deadline that trips inside one of many
+// short durable chunks stops the job there, at the step it trips, and
+// does not let it run on chunk after chunk to completion.
 func TestDeadlineShortChunks(t *testing.T) {
 	s := newDurable(t, Options{Workers: 1, CheckpointEvery: 20})
 	r := s.Submit(&JobSpec{D: 2, N: 400, Iters: 500000, DeadlineMs: 300})
@@ -385,7 +378,7 @@ func TestDeadlineShortChunks(t *testing.T) {
 			fin.State, fin.Error, fin.ItersDone)
 	}
 	if fin.ItersDone >= 500000 {
-		t.Fatalf("job ran to completion (%d iterations); the latch leaked across chunks", fin.ItersDone)
+		t.Fatalf("job ran to completion (%d iterations) past its deadline", fin.ItersDone)
 	}
 }
 
@@ -494,8 +487,10 @@ func TestChaosKillPastTheCadenceFires(t *testing.T) {
 // 20 iterations and continues in place ends on the bytes of the same
 // run made as three separate jobs chained through checkpoint/load at
 // 20 and 40 — tear-down, checkpoint file, fresh set-up at every
-// boundary. Cache reordering is on and the bed is dense and 3-D, where
-// a boundary that did not canonicalise shows in the last bit.
+// boundary — and of the same run made in one piece, with no durable
+// checkpoint on the way. Cache reordering is on and the bed is dense
+// and 3-D, where storing the particles in any other order than the
+// run that wrote the checkpoint shows in the last bit.
 func TestChunkedJobEqualsChainedJobs(t *testing.T) {
 	for name, mode := range map[string]JobSpec{
 		"serial": {},
@@ -523,6 +518,12 @@ func TestChunkedJobEqualsChainedJobs(t *testing.T) {
 				link.Load = link.Checkpoint
 			}
 			sameBytes(t, link.Checkpoint, chunked.Checkpoint)
+
+			whole := spec
+			whole.CheckpointEvery = 0
+			whole.Iters, whole.Checkpoint = 60, filepath.Join(dir, "whole.ck")
+			runToDone(t, s, whole)
+			sameBytes(t, whole.Checkpoint, chunked.Checkpoint)
 		})
 	}
 }

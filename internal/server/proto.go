@@ -45,8 +45,9 @@ type JobSpec struct {
 	Vel   float64 `json:"vel,omitempty"`  // initial velocity scale
 	Damp  float64 `json:"damp,omitempty"`
 
-	// NoReorder disables the cache particle reordering. No resume
-	// guarantee of the daemon needs it (see core.Config.Stop).
+	// NoReorder disables the cache particle reordering: the paper's
+	// cache-reorder ablation, which changes how fast a job runs and
+	// nothing about how it cancels, checkpoints or resumes.
 	NoReorder bool `json:"noreorder,omitempty"`
 
 	// Checkpoint, when set, is the path the job writes crash-safe

@@ -843,9 +843,11 @@ func (s *Server) execute(j *Job) (st State, errMsg string, retryable bool) {
 	} else {
 		sim, err = core.Open(cfg)
 	}
-	// A durable checkpoint reorders the stores, so the grid is part of
-	// the trajectory; it is absolute — a crashed job resumes mid-grid with
-	// a short first chunk — so a recovered job lands on an unbroken one's bits.
+	// Durable checkpoints fall on absolute multiples of the cadence — a
+	// crashed job resumes mid-grid with a short first chunk — so a
+	// recovered job writes the files an unbroken one would. Each snapshot
+	// shares the session's gather storage until the next chunk: it is
+	// written before the session advances.
 	var save func(*core.Result, int) error
 	var last *checkpoint.Snapshot // what the durable file holds
 	if durable != "" {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"hybriddem/internal/checkpoint"
@@ -11,8 +12,8 @@ import (
 )
 
 // cancelConfig is a deliberately lively system: enough velocity and a
-// tight cutoff so the link list rebuilds every handful of steps, which
-// is where latched Stop requests are honoured.
+// tight cutoff that the link list rebuilds every handful of steps, so
+// cuts land both on rebuild boundaries and between them.
 func cancelConfig(d, n int) core.Config {
 	cfg := core.Default(d, n)
 	cfg.Seed = 17
@@ -22,10 +23,38 @@ func cancelConfig(d, n int) core.Config {
 	return cfg
 }
 
-// captureUntilCanceled runs cfg with a Stop hook that latches once
-// reqAt steps have been recorded, returning the partial trajectory and
-// result. The run is expected to end in core.ErrCanceled at the first
-// rebuild boundary after the request.
+// denseBed is cancelConfig(3, n) settling under gravity into the bottom
+// half of the box: dense enough that the order forces are summed in
+// reaches the last bit within a few steps, which is where a resume
+// that stored its particles in any other order than the run it
+// continues shows up.
+func denseBed(n int) core.Config {
+	cfg := cancelConfig(3, n)
+	cfg.FillHeight = 0.5
+	cfg.Gravity = -20
+	return cfg
+}
+
+// resumeModes are the five execution modes with cache reordering on,
+// as the resume guarantee is stated. The thread rows use the Transpose
+// reduction: under the lock methods the order two threads add into a
+// shared particle depends on the host's scheduling, so two runs of the
+// same configuration need not agree bit for bit.
+var resumeModes = []struct {
+	name string
+	set  func(*core.Config)
+}{
+	{"serial", func(c *core.Config) { c.Mode = core.Serial }},
+	{"openmp", func(c *core.Config) { c.Mode = core.OpenMP; c.T = 2; c.Method = shm.Transpose }},
+	{"mpi", func(c *core.Config) { c.Mode = core.MPI; c.P = 2; c.BlocksPerProc = 2 }},
+	{"hybrid", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 2; c.Method = shm.Transpose }},
+	{"mpism", func(c *core.Config) { c.Mode = core.MPIsm; c.P = 2 }},
+}
+
+// captureUntilCanceled runs cfg with a Stop hook that fires once reqAt
+// steps have been recorded, returning the partial trajectory and
+// result. The run must end in core.ErrCanceled after exactly reqAt
+// steps: the request is honoured at the step it is seen.
 func captureUntilCanceled(t *testing.T, cfg core.Config, iters, reqAt int) (*Trajectory, *core.Result) {
 	t.Helper()
 	tr := &Trajectory{Box: cfg.Box()}
@@ -38,106 +67,121 @@ func captureUntilCanceled(t *testing.T, cfg core.Config, iters, reqAt int) (*Tra
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("run with a firing Stop hook returned %v, want core.ErrCanceled", err)
 	}
-	if res == nil {
-		t.Fatal("canceled run returned no partial result")
-	}
-	if res.Iters < reqAt || res.Iters >= iters {
-		t.Fatalf("canceled run completed %d iterations, want mid-run in [%d, %d)", res.Iters, reqAt, iters)
-	}
-	if len(tr.Steps) != res.Iters {
-		t.Fatalf("probe recorded %d steps, result reports %d", len(tr.Steps), res.Iters)
-	}
-	if res.Pos == nil {
+	if res == nil || res.Pos == nil || res.Arrangement == nil {
 		t.Fatal("canceled run did not collect its final state")
+	}
+	if res.Iters != reqAt || len(tr.Steps) != reqAt {
+		t.Fatalf("canceled run completed %d iterations (probe saw %d), want the %d before the request", res.Iters, len(tr.Steps), reqAt)
 	}
 	tr.Res = res
 	return tr, res
 }
 
-// TestCancelResumeBitIdentical is the cancellation oracle on a system
-// where it can be held against an unbroken run: in every execution
-// mode, a run canceled mid-flight via Config.Stop, checkpointed from
-// its partial Result, and resumed from that checkpoint replays the
-// remaining steps bit-identically to a run that never stopped.
-// Cancellation lands on list rebuild boundaries, so the resumed run
-// shares the unbroken one's list, reference positions and rebuild
-// cadence; what it does not share is the order particles are stored
-// in (a resume re-places them by ID), and this bed — 2-D, 200
-// particles, sparse — is one where that order never reaches the last
-// bit of a force sum. It is not a property of the modes: with
-// cancelConfig(3, 1500) the mpi, hybrid and mpism rows differ from the
-// unbroken run by 1 ulp at steps 21–52. The guarantee that holds on
-// every bed is TestSnapshotContinueEqualsResume's.
-func TestCancelResumeBitIdentical(t *testing.T) {
-	const total, reqAt = 120, 3
-	// The shared modes run with cache reordering off and the distributed
-	// ones with it on; on this bed neither choice matters (see above and
-	// Config.Stop). The T>1 rows use the
-	// Transpose reduction: under the lock methods the order two threads
-	// add into a shared particle depends on the host's scheduling, so
-	// two runs of the same configuration need not agree bit for bit.
-	// The lock methods and the fused kernel are gated at T=1.
-	cases := []struct {
-		name string
-		set  func(*core.Config)
-	}{
-		{"serial", func(c *core.Config) { c.Mode = core.Serial; c.Reorder = false }},
-		{"openmp", func(c *core.Config) {
-			c.Mode = core.OpenMP
-			c.T = 2
-			c.Method = shm.Transpose
-			c.Reorder = false
-		}},
-		{"openmp-selected-t1", func(c *core.Config) { c.Mode = core.OpenMP; c.T = 1; c.Reorder = false }},
-		{"mpi", func(c *core.Config) { c.Mode = core.MPI; c.P = 2; c.BlocksPerProc = 2 }},
-		{"hybrid", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 2; c.Method = shm.Transpose }},
-		{"hybrid-selected-t1", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 1 }},
-		{"hybrid-fused-t1", func(c *core.Config) {
-			c.Mode = core.Hybrid
-			c.P, c.T = 2, 1
-			c.Method = shm.Atomic
-			c.Fused = true
-		}},
-		{"mpism", func(c *core.Config) { c.Mode = core.MPIsm; c.P = 2 }},
+// resumeFrom checkpoints a canceled run's result through a file, loads
+// it back and runs the remaining iterations from it.
+func resumeFrom(t *testing.T, base core.Config, res *core.Result, iters int) *Trajectory {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cut.ck")
+	snap, err := checkpoint.FromResult(&base, res, res.Iters)
+	if err != nil {
+		t.Fatalf("checkpoint from canceled result: %v", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := cancelConfig(2, 200)
-			tc.set(&base)
+	if err := checkpoint.SaveFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	back, err := checkpoint.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The restored state already includes the warm-up, so the resumed
+	// leg must not warm up again.
+	resumed := base
+	if err := back.Apply(&resumed); err != nil {
+		t.Fatalf("apply checkpoint: %v", err)
+	}
+	resumed.Warmup = 0
+	tr, err := Capture(resumed, iters)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	return tr
+}
 
+// TestCancelResumeEveryStep enumerates the resume guarantee instead of
+// sampling it: in all five modes with cache reordering on, on a sparse
+// 2-D bed, a dense settling 3-D bed and a bed of damped bonded grains,
+// a run canceled after every step k in [1, 40], checkpointed through a
+// file and resumed replays the remaining steps on the bits of a run
+// that never stopped. -short keeps a few cuts.
+func TestCancelResumeEveryStep(t *testing.T) {
+	const total, lastCut = 48, 40
+	cuts := make([]int, 0, lastCut)
+	for k := 1; k <= lastCut; k++ {
+		if !testing.Short() || k == 1 || k == 2 || k%13 == 0 {
+			cuts = append(cuts, k)
+		}
+	}
+	grains, err := Scenario(BondedGrains, 2, 300, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grains.Warmup = 1
+	beds := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"sparse-2d", cancelConfig(2, 200)},
+		{"dense-3d", denseBed(1500)},
+		{"grains-2d", grains},
+	}
+	for _, bed := range beds {
+		for _, mode := range resumeModes {
+			t.Run(bed.name+"/"+mode.name, func(t *testing.T) {
+				base := bed.cfg
+				mode.set(&base)
+				ref, err := Capture(base, total)
+				if err != nil {
+					t.Fatalf("reference run: %v", err)
+				}
+				for _, k := range cuts {
+					part1, res := captureUntilCanceled(t, base, total, k)
+					part2 := resumeFrom(t, base, res, total-k)
+					combined := &Trajectory{Steps: append(append([]Step{}, part1.Steps...), part2.Steps...)}
+					if dv := CompareExact(ref, combined); dv != nil {
+						t.Fatalf("canceled after step %d and resumed: %v", k, dv)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCancelWithinOneStepOnSettledBed: a bed at rest never rebuilds its
+// list, and a cancel request still stops it after the step that sees
+// the request — after 300 steps as after one — and the resume continues
+// on the unbroken run's bits. (A request used to wait for a rebuild,
+// and on a bed like this one give up exactness after 256 steps.)
+func TestCancelWithinOneStepOnSettledBed(t *testing.T) {
+	const total = 310
+	for _, mode := range resumeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			base := core.Default(3, 2000)
+			base.Warmup = 0
+			mode.set(&base)
 			ref, err := Capture(base, total)
 			if err != nil {
-				t.Fatalf("reference run: %v", err)
+				t.Fatal(err)
 			}
-
-			// Cancel a few steps in and checkpoint the partial state.
-			ckCfg := base
-			part1, res := captureUntilCanceled(t, ckCfg, total, reqAt)
-			cut := res.Iters
-			snap, err := checkpoint.FromResult(&ckCfg, res, cut)
-			if err != nil {
-				t.Fatalf("checkpoint from canceled result: %v", err)
+			if ref.Res.Rebuilds != 0 {
+				t.Fatalf("the settled bed rebuilt %d times", ref.Res.Rebuilds)
 			}
-
-			// Resume from the checkpoint and run the remainder. The
-			// restored state already includes the warm-up, so the
-			// resumed leg must not warm up again.
-			resumed := base
-			if err := snap.Apply(&resumed); err != nil {
-				t.Fatalf("apply checkpoint: %v", err)
-			}
-			resumed.Warmup = 0
-			part2, err := Capture(resumed, total-cut)
-			if err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
-
-			combined := &Trajectory{
-				Box:   ref.Box,
-				Steps: append(append([]Step{}, part1.Steps...), part2.Steps...),
-			}
-			if dv := CompareExact(ref, combined); dv != nil {
-				t.Fatalf("canceled (at step %d) + resumed trajectory diverges from the unbroken run: %v", cut, dv)
+			for _, k := range []int{1, 300} {
+				part1, res := captureUntilCanceled(t, base, total, k)
+				part2 := resumeFrom(t, base, res, total-k)
+				combined := &Trajectory{Steps: append(append([]Step{}, part1.Steps...), part2.Steps...)}
+				if dv := CompareExact(ref, combined); dv != nil {
+					t.Fatalf("canceled after step %d and resumed: %v", k, dv)
+				}
 			}
 		})
 	}
@@ -158,24 +202,6 @@ func TestCancelDuringWarmupWaits(t *testing.T) {
 	}
 	if res.Iters < 1 || res.Iters >= 120 {
 		t.Fatalf("completed %d measured iterations, want at least 1 (stop polls only after measured steps) and fewer than requested", res.Iters)
-	}
-}
-
-// TestCancelHonoredWithoutRebuilds pins the liveness bound: a system
-// too settled to ever rebuild its list still honours a Stop request
-// within the documented grace window instead of running to completion.
-func TestCancelHonoredWithoutRebuilds(t *testing.T) {
-	cfg := core.Default(2, 200) // at rest: nothing moves far enough to rebuild
-	cfg.Seed = 17
-	cfg.Warmup = 0
-	cfg.CollectState = true
-	cfg.Stop = func() bool { return true }
-	res, err := core.Run(cfg, 2000)
-	if !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("run returned %v, want core.ErrCanceled", err)
-	}
-	if res.Iters >= 2000 {
-		t.Fatalf("stop request starved: run completed all %d iterations", res.Iters)
 	}
 }
 
