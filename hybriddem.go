@@ -169,7 +169,8 @@ func Run(cfg Config, iters int) (*Result, error) { return core.Run(cfg, iters) }
 
 // Sim is a live session: Open, Advance in pieces, Result — a resumable
 // state under CollectState — in between, Close; ranks, teams, grids and
-// buffers stay up.
+// buffers stay up. A Result's Arrangement is the session's storage:
+// checkpoint it before the next Advance, which overwrites it.
 // Sim.AdvanceTo is the checkpointing loop of demrun and demd.
 type Sim = core.Sim
 
@@ -234,7 +235,8 @@ type Timeline = trace.Timeline
 type Snapshot = checkpoint.Snapshot
 
 // SaveCheckpoint captures a finished run (made with
-// Config.CollectState) into a snapshot file.
+// Config.CollectState) into a snapshot file. A Result of a Sim must be
+// saved before the Sim advances again; after, it is refused.
 func SaveCheckpoint(path string, cfg *Config, res *Result, itersDone int) error {
 	snap, err := checkpoint.FromResult(cfg, res, itersDone)
 	if err != nil {

@@ -78,12 +78,16 @@ var ErrOrder = errors.New("checkpoint: store order is not a permutation of the p
 // FromResult builds a snapshot from a run collected with
 // Config.CollectState. It shares the Result's Arrangement — storage the
 // session overwrites at its next Advance — so save the snapshot before
-// the session advances. A Result with no Arrangement (positions and
+// the session advances; a Result whose Arrangement a later Advance has
+// overwritten is refused. A Result with no Arrangement (positions and
 // velocities by particle ID only) gives a snapshot in ID order whose
 // references are its positions.
 func FromResult(cfg *core.Config, res *core.Result, itersDone int) (*Snapshot, error) {
 	if res.Pos == nil || res.Vel == nil {
 		return nil, fmt.Errorf("checkpoint: run did not collect state (set Config.CollectState)")
+	}
+	if a := res.Arrangement; a != nil && a.Iters != res.Iters {
+		return nil, fmt.Errorf("checkpoint: the session has advanced from %d to %d iterations since this Result; take its Result again", res.Iters, a.Iters)
 	}
 	var tree []byte
 	if res.Tree != nil {
@@ -111,7 +115,9 @@ func FromResult(cfg *core.Config, res *core.Result, itersDone int) (*Snapshot, e
 }
 
 // Apply validates the snapshot against the configuration and installs
-// it as the run's initial condition.
+// it as the run's initial condition. The store order is a permutation
+// if Load read it; a hand-built one is checked when the run opens
+// (core.Config.Validate).
 func (s *Snapshot) Apply(cfg *core.Config) error {
 	if cfg.D != s.D || cfg.N != s.N {
 		return fmt.Errorf("checkpoint: snapshot is D=%d N=%d, config is D=%d N=%d", s.D, s.N, cfg.D, cfg.N)
@@ -151,9 +157,6 @@ func (s *Snapshot) Apply(cfg *core.Config) error {
 	if err := s.checkShape(); err != nil {
 		return err
 	}
-	if err := checkOrder(s.Order, s.N); err != nil {
-		return err
-	}
 	if len(s.ORBTree) > 0 {
 		tree, err := decomp.DecodeTree(s.ORBTree)
 		if err != nil {
@@ -186,22 +189,6 @@ func (s *Snapshot) checkShape() error {
 	}
 	if s.Order != nil && len(s.Order) != s.N {
 		return fmt.Errorf("checkpoint: order of %d entries for N=%d", len(s.Order), s.N)
-	}
-	return nil
-}
-
-// checkOrder reports ErrOrder unless order is empty (the identity) or
-// holds every id in [0, n) once.
-func checkOrder(order []int32, n int) error {
-	if order == nil {
-		return nil
-	}
-	seen := make([]bool, n)
-	for i, id := range order {
-		if id < 0 || int(id) >= n || seen[id] {
-			return fmt.Errorf("%w: slot %d holds id %d", ErrOrder, i, id)
-		}
-		seen[id] = true
 	}
 	return nil
 }
@@ -499,8 +486,8 @@ func Load(r io.Reader) (s *Snapshot, err error) {
 	for i := range snap.Order {
 		snap.Order[i] = int32(binary.LittleEndian.Uint32(ids[4*i:]))
 	}
-	if err := checkOrder(snap.Order, snap.N); err != nil {
-		return nil, err
+	if err := core.CheckOrder(snap.Order, snap.N); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrOrder, err)
 	}
 	if len(blobs[0]) > 0 {
 		snap.ORBTree = bytes.Clone(blobs[0])

@@ -503,3 +503,40 @@ func TestORBTreeRoundTrip(t *testing.T) {
 		t.Error("Apply accepted a corrupted tree payload")
 	}
 }
+
+// TestFromResultRefusesAStaleResult: a Result kept across an Advance
+// shares the session's arrangement, which that Advance overwrote, so a
+// checkpoint of it would pair the later state with the earlier
+// iteration count. FromResult refuses it, in a shared and a
+// distributed mode, and takes the fresh Result.
+func TestFromResultRefusesAStaleResult(t *testing.T) {
+	for _, mode := range []core.Mode{core.Serial, core.MPI} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := runCfg(200)
+			if mode == core.MPI {
+				cfg.Mode, cfg.P = core.MPI, 2
+			}
+			sim, err := core.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			if err := sim.Advance(3); err != nil {
+				t.Fatal(err)
+			}
+			old := sim.Result()
+			if _, err := FromResult(&cfg, old, 3); err != nil {
+				t.Fatalf("fresh Result refused: %v", err)
+			}
+			if err := sim.Advance(2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FromResult(&cfg, old, 3); err == nil {
+				t.Fatal("a Result kept across an Advance was checkpointed")
+			}
+			if _, err := FromResult(&cfg, sim.Result(), 5); err != nil {
+				t.Fatalf("fresh Result refused: %v", err)
+			}
+		})
+	}
+}

@@ -233,8 +233,9 @@ func TestLoadNamesTheOldFormats(t *testing.T) {
 }
 
 // TestLoadNamesABadOrder: an order section that stores an id twice, or
-// one outside [0, N), is refused with ErrOrder behind a valid checksum:
-// installed, it would silently store one particle twice.
+// one outside [0, N), is refused with ErrOrder behind a valid checksum,
+// and by Validate when a hand-built state carries it: installed, it
+// would silently store one particle twice.
 func TestLoadNamesABadOrder(t *testing.T) {
 	s := smallSnapshot(t)
 	good := saved(t, s)[headerLen:]
@@ -251,11 +252,10 @@ func TestLoadNamesABadOrder(t *testing.T) {
 		if _, err := Load(bytes.NewReader(frame(p))); !errors.Is(err, ErrOrder) {
 			t.Errorf("%s: got %v, want ErrOrder", name, err)
 		}
-		bad := smallSnapshot(t)
-		bad.Order = order
 		cfg := core.Default(2, s.N)
-		if err := bad.Apply(&cfg); err == nil {
-			t.Errorf("%s: Apply installed the order", name)
+		cfg.Init = &core.State{Pos: make([]geom.Vec, s.N), Vel: make([]geom.Vec, s.N), Order: order}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Init order") {
+			t.Errorf("%s: Validate said %v, want the order refused", name, err)
 		}
 	}
 	if _, err := Load(bytes.NewReader(frame(good))); err != nil {

@@ -32,10 +32,7 @@ func TestStepSteadyStateZeroAllocShared(t *testing.T) {
 	}
 	run := func(name string, cfg Config) {
 		t.Run(name, func(t *testing.T) {
-			s, err := newSharedSim(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newSharedSim(cfg)
 			defer s.close()
 			for i := 0; i < 5; i++ {
 				s.step()

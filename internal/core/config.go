@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -386,9 +387,13 @@ func (c *Config) Validate() error {
 	if c.P < 1 || c.T < 1 || c.BlocksPerProc < 1 {
 		return fmt.Errorf("core: P=%d T=%d BlocksPerProc=%d", c.P, c.T, c.BlocksPerProc)
 	}
-	if c.Init != nil {
-		if err := c.Init.check(c.N); err != nil {
-			return err
+	if st := c.Init; st != nil {
+		if len(st.Pos) != c.N || len(st.Vel) != c.N || st.Ref != nil && len(st.Ref) != c.N {
+			return fmt.Errorf("core: Init has %d positions, %d velocities and %d references for N=%d",
+				len(st.Pos), len(st.Vel), len(st.Ref), c.N)
+		}
+		if err := CheckOrder(st.Order, c.N); err != nil {
+			return fmt.Errorf("core: Init order: %w", err)
 		}
 	}
 	if bt := c.Spring.Bonds; bt != nil && bt.MaxRest() >= c.RC() {
@@ -489,14 +494,11 @@ func (c *Config) Skin() float64 { return (c.RC() - c.Spring.RMax()) / 2 }
 // Box returns the global simulation box.
 func (c *Config) Box() geom.Box { return geom.NewBox(c.D, c.L, c.BC) }
 
-// State is an explicit initial condition. Entry i describes particle
-// Order[i] — particle i when Order is nil — at position Pos[i] with
-// velocity Vel[i]; Ref[i], when Ref is non-nil, is where it stood when
-// its link list was built (Pos[i] when Ref is nil). The run places the
-// particles in that order at their reference positions, builds its
-// lists as at any rebuild, then moves them to Pos: from the Order and
-// Ref of a checkpoint this reproduces the run that wrote it bit for bit
-// (Result.Arrangement).
+// State is an explicit initial condition: entry i is particle Order[i]
+// (i when Order is nil) at Pos[i] with velocity Vel[i], its list built
+// at Ref[i] (Pos[i] when Ref is nil). The run places the particles in
+// that order at Ref, rebuilds as ever, then moves them to Pos; from a
+// Result.Arrangement that reproduces the run that wrote it, bit for bit.
 type State struct {
 	Pos   []geom.Vec
 	Vel   []geom.Vec
@@ -504,21 +506,31 @@ type State struct {
 	Order []int32    // optional: a permutation of [0, N)
 }
 
-// check rejects a state that does not describe n particles once each.
-func (st *State) check(n int) error {
-	if len(st.Pos) != n || len(st.Vel) != n || st.Ref != nil && len(st.Ref) != n || st.Order != nil && len(st.Order) != n {
-		return fmt.Errorf("core: Init has %d positions, %d velocities, %d references and %d ids for N=%d",
-			len(st.Pos), len(st.Vel), len(st.Ref), len(st.Order), n)
+// CheckOrder reports an error unless order is nil (the identity) or
+// holds every particle id in [0, n) once.
+func CheckOrder(order []int32, n int) error {
+	if order != nil && len(order) != n {
+		return fmt.Errorf("%d ids for N=%d", len(order), n)
 	}
-	seen := make([]bool, n)
-	for i := range st.Pos {
-		id := st.id(i)
+	seen := make([]bool, len(order))
+	for i, id := range order {
 		if id < 0 || int(id) >= n || seen[id] {
-			return fmt.Errorf("core: Init order is not a permutation of [0, %d) (id %d)", n, id)
+			return fmt.Errorf("slot %d holds id %d", i, id)
 		}
 		seen[id] = true
 	}
 	return nil
+}
+
+// place hands put every particle of the state in its order: its
+// reference position, velocity and id.
+func (st *State) place(put func(ref, vel geom.Vec, id int32)) {
+	for i, ref := range st.Pos {
+		if st.Ref != nil {
+			ref = st.Ref[i]
+		}
+		put(ref, st.Vel[i], st.id(i))
+	}
 }
 
 // id is the particle entry i describes.
@@ -529,58 +541,39 @@ func (st *State) id(i int) int32 {
 	return st.Order[i]
 }
 
-// place hands put every particle of the state in its order: its
-// reference position, velocity and id.
-func (st *State) place(put func(ref, vel geom.Vec, id int32)) {
-	for i := range st.Pos {
-		ref := st.Pos[i]
-		if st.Ref != nil {
-			ref = st.Ref[i]
-		}
-		put(ref, st.Vel[i], st.id(i))
-	}
-}
-
-// moved returns the state's positions indexed by particle id when they
-// differ from the positions place handed out, and nil when they do not
-// (or there is no state).
+// moved returns the state's positions by particle id when they differ
+// from where place put the particles, else nil (as for no state).
 func (st *State) moved() []geom.Vec {
 	if st == nil || st.Ref == nil {
 		return nil
 	}
 	pos := make([]geom.Vec, len(st.Pos))
-	for i := range st.Pos {
-		pos[st.id(i)] = st.Pos[i]
+	for i, x := range st.Pos {
+		pos[st.id(i)] = x
 	}
 	return pos
 }
 
-// Arrangement is a run's state as the engine holds it at a step
-// boundary: particle Order[i] occupies store slot i — block after block
-// in block-id order in the distributed modes — with position Pos[·][i],
-// velocity Vel[·][i] and reference position Ref[·][i], where its link
-// list was built. Positions are in the engine's own frame: a
-// distributed mode folds a coordinate that left a periodic box only at
-// its next rebuild. Opened as a State (checkpoint.Snapshot.Apply), it
-// rebuilds the lists, halos and references the run had, bit for bit.
-// The slices belong to the session and its next Advance overwrites
-// them.
+// Arrangement is a run's state as the engine holds it after Iters
+// measured iterations: store slot i — block after block in block-id
+// order in the distributed modes — holds particle Order[i] at Pos[·][i]
+// with velocity Vel[·][i], its list built at Ref[·][i]. Positions are
+// in the engine's frame, where a distributed mode folds a coordinate
+// out of a periodic box only at its next rebuild. It is the session's
+// storage, which its next Advance overwrites and restamps.
 type Arrangement struct {
+	Iters         int
 	Order         []int32
 	Pos, Vel, Ref geom.Coords
 }
 
 // resize gives the arrangement room for n particles in d dimensions,
-// keeping its storage when it has the size already.
+// keeping its storage when it has room already.
 func (a *Arrangement) resize(d, n int) {
-	if len(a.Order) != n {
-		a.Order = make([]int32, n)
-	}
+	a.Order = slices.Grow(a.Order[:0], n)[:n]
 	for k := 0; k < d; k++ {
 		for _, c := range [...]*geom.Coords{&a.Pos, &a.Vel, &a.Ref} {
-			if len(c[k]) != n {
-				c[k] = make([]float64, n)
-			}
+			c[k] = slices.Grow(c[k][:0], n)[:n]
 		}
 	}
 }
@@ -668,7 +661,7 @@ type Result struct {
 
 	// Arrangement is the same state as the engine holds it, which a
 	// checkpoint records so that a resume continues on these bits; nil
-	// unless CollectState.
+	// unless CollectState. It is a Sim's storage (see Sim.Result).
 	Arrangement *Arrangement
 }
 

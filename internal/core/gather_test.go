@@ -149,7 +149,7 @@ func checkGather(t *testing.T, cfg Config) {
 		}
 		compare := func(when string) {
 			arr := new(Arrangement)
-			r.gather(arr)
+			r.gather(arr, 0)
 			want, wantV := referenceGather(r)
 			if c.Rank() != 0 {
 				if arr.Order != nil {
@@ -235,15 +235,12 @@ func TestSharedGatherMatchesReference(t *testing.T) {
 		if mode == OpenMP {
 			cfg.T = 2
 		}
-		s, err := newSharedSim(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newSharedSim(cfg)
 		for i := 0; i < 60; i++ {
 			s.step() // long enough to reorder the store
 		}
 		arr := new(Arrangement)
-		s.gather(arr)
+		s.gather(arr, 0)
 		pos, vel := arr.byID(s.box)
 		for i, id := range s.ps.ID[:cfg.N] {
 			if pos[id] != s.ps.PosAt(i) || vel[id] != s.ps.VelAt(i) {

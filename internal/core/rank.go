@@ -38,12 +38,10 @@ type rankSim struct {
 
 	linkCost, contactCost, updCost, partCost float64
 
-	// gather's buffers, kept between calls: a sending rank's message,
-	// and on rank 0 every block's cores and the messages holding them.
+	// gather's buffers, kept between calls: a sending rank's message
+	// floats, and on rank 0 its own blocks by id.
 	gatherF []float64
-	gatherI []int32
-	runs    []blockRun
-	held    []heldMsg
+	owned   []*decomp.Block
 
 	tally
 }
@@ -149,11 +147,6 @@ func newRankSim(cfg *Config, c *mp.Comm, l *decomp.Layout) *rankSim {
 // modelled costs for the new list's locality.
 func (r *rankSim) rebuild() {
 	r.dm.Rebuild(r.cfg.Reorder)
-	r.rebuilt()
-}
-
-// rebuilt is what the rank does once its domain has rebuilt.
-func (r *rankSim) rebuilt() {
 	cfg := r.cfg
 	r.rebuilds++
 	if t0, t1, moved := r.dm.LastRebalance(); moved {
@@ -700,116 +693,67 @@ func (r *rankSim) report() part {
 
 const stateGatherTag = 1 << 28 // far above the exchange phases' tag space
 
-// blockRun is one block's cores as rank 0's gather finds them, in the
-// block's store or in its owner's message: ids, then positions,
-// velocities and reference positions.
-type blockRun struct {
-	ids []int32
-	x   [3]geom.Coords
-}
-
-// heldMsg is a gather message rank 0 reads from until the state is
-// arranged.
-type heldMsg struct {
-	f   []float64
-	ids []int32
-}
-
 // gather arranges every rank's core particles into arr on rank 0 as the
-// ranks store them: the cores of block 0, then block 1, and so on,
-// positions unfolded, references alongside. All ranks must call it.
-//
-// A sending rank's state travels as one message: ints [nb, then block
-// id and core count for each of its nb blocks, then the ids of their
-// cores, block after block], and 3·D component streams of that length —
-// positions component by component, then velocities, then reference
-// positions — copied straight out of the blocks' component arrays into
-// buffers the rank keeps. Rank 0 reads its own blocks from their stores.
-func (r *rankSim) gather(arr *Arrangement) {
-	cfg, c := r.cfg, r.c
-	d := cfg.D
+// ranks store them, block after block in block-id order. All ranks must
+// call it. A block off rank 0 travels as one message tagged with its
+// id: its cores' ids, and their positions, velocities and reference
+// positions as 3·D component streams copied out of its stores into a
+// buffer the rank keeps.
+func (r *rankSim) gather(arr *Arrangement, iters int) {
+	d, c, l := r.cfg.D, r.c, r.dm.L
+	streams := func(b *decomp.Block) [3]*geom.Coords { return [3]*geom.Coords{&b.PS.Pos, &b.PS.Vel, &b.RefPos} }
 	if c.Rank() != 0 {
-		f, ints := r.pack()
-		c.Send(0, stateGatherTag, f, ints)
-		return
-	}
-	if len(r.runs) != r.dm.L.B {
-		r.runs = make([]blockRun, r.dm.L.B)
-	}
-	for _, b := range r.dm.Blocks {
-		run, nc := &r.runs[b.ID], b.NCore
-		run.ids = b.PS.ID[:nc]
-		for s, src := range [...]*geom.Coords{&b.PS.Pos, &b.PS.Vel, &b.RefPos} {
-			for k := 0; k < d; k++ {
-				run.x[s][k] = src[k][:nc]
+		for _, b := range r.dm.Blocks {
+			n := b.NCore
+			if cap(r.gatherF) < 3*d*n {
+				// An eighth to spare: a block's core count drifts with migration.
+				r.gatherF = make([]float64, 3*d*(n+n/8))
 			}
-		}
-	}
-	for src := 1; src < cfg.P; src++ {
-		f, ints := c.Recv(src, stateGatherTag)
-		r.held = append(r.held, heldMsg{f, ints})
-		nb := int(ints[0])
-		blocks, ids := ints[1:1+2*nb], ints[1+2*nb:]
-		n, at := len(ids), 0
-		for j := 0; j < nb; j++ {
-			run, nc := &r.runs[blocks[2*j]], int(blocks[2*j+1])
-			run.ids = ids[at : at+nc]
-			for s := range run.x {
+			f := r.gatherF[:3*d*n]
+			for s, src := range streams(b) {
 				for k := 0; k < d; k++ {
-					o := (s*d+k)*n + at
-					run.x[s][k] = f[o : o+nc]
+					copy(f[(s*d+k)*n:], src[k][:n])
 				}
 			}
-			at += nc
+			c.Send(0, stateGatherTag+b.ID, f, b.PS.ID[:n])
 		}
+		return
 	}
-	arr.resize(d, cfg.N)
+	if len(r.owned) != l.B {
+		r.owned = make([]*decomp.Block, l.B)
+	}
+	clear(r.owned)
+	for _, b := range r.dm.Blocks {
+		r.owned[b.ID] = b
+	}
+	arr.resize(d, r.cfg.N)
+	arr.Iters = iters
+	dst := [3]*geom.Coords{&arr.Pos, &arr.Vel, &arr.Ref}
 	at := 0
-	for i := range r.runs {
-		run := &r.runs[i]
-		copy(arr.Order[at:], run.ids)
-		for s, dst := range [...]*geom.Coords{&arr.Pos, &arr.Vel, &arr.Ref} {
+	for id, b := range r.owned {
+		var f []float64
+		var ids []int32
+		if b != nil {
+			ids = b.PS.ID[:b.NCore]
+		} else {
+			f, ids = c.Recv(l.RankOfBlock(id), stateGatherTag+id)
+		}
+		n := len(ids)
+		copy(arr.Order[at:], ids)
+		for s := range dst {
 			for k := 0; k < d; k++ {
-				copy(dst[k][at:], run.x[s][k])
+				if b != nil {
+					copy(dst[s][k][at:], streams(b)[s][k][:n])
+				} else {
+					copy(dst[s][k][at:], f[(s*d+k)*n:(s*d+k+1)*n])
+				}
 			}
 		}
-		at += len(run.ids)
-		*run = blockRun{} // the stores and messages it points into move on
-	}
-	for i, m := range r.held {
-		c.FreeBuffers(m.f, m.ids)
-		r.held[i] = heldMsg{}
-	}
-	r.held = r.held[:0]
-}
-
-// pack lays a sending rank's cores out as gather's message describes,
-// in buffers the rank keeps.
-func (r *rankSim) pack() ([]float64, []int32) {
-	d := r.cfg.D
-	n, nb := r.dm.NumCore(), len(r.dm.Blocks)
-	if ni := 1 + 2*nb + n; cap(r.gatherI) < ni {
-		// An eighth to spare: the rank's core count drifts with migration.
-		r.gatherI = make([]int32, ni+ni/8)
-	}
-	if cap(r.gatherF) < 3*d*n {
-		r.gatherF = make([]float64, 3*d*(n+n/8))
-	}
-	f, ints := r.gatherF[:3*d*n], r.gatherI[:1+2*nb+n]
-	ints[0] = int32(nb)
-	at := 0
-	for j, b := range r.dm.Blocks {
-		nc := b.NCore
-		ints[1+2*j], ints[2+2*j] = int32(b.ID), int32(nc)
-		copy(ints[1+2*nb+at:], b.PS.ID[:nc])
-		for s, src := range [...]*geom.Coords{&b.PS.Pos, &b.PS.Vel, &b.RefPos} {
-			for k := 0; k < d; k++ {
-				copy(f[(s*d+k)*n+at:], src[k][:nc])
-			}
+		if b == nil {
+			c.FreeBuffers(f, ids)
 		}
-		at += nc
+		at += n
 	}
-	return f, ints
 }
 
 // moveTo puts every core particle at pos[id], in the image nearest its

@@ -43,12 +43,9 @@ func (s *sharedSim) span(phase string, t0, t1 float64) {
 	}
 }
 
-// newSharedSim builds and initialises the simulation, including the
-// first link-list construction.
-func newSharedSim(cfg Config) (*sharedSim, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newSharedSim builds and initialises the simulation of a validated
+// configuration, including the first link-list construction.
+func newSharedSim(cfg Config) *sharedSim {
 	s := &sharedSim{cfg: cfg, box: cfg.Box()}
 	s.ps = particle.New(cfg.D, cfg.N)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -71,6 +68,8 @@ func newSharedSim(cfg Config) (*sharedSim, error) {
 	wrap := s.box.BC == geom.Periodic
 	s.grid = cell.NewGrid(cfg.D, geom.Vec{}, s.box.Len, cfg.RC(), wrap)
 	s.rebuild()
+	// By id, not by slot: another mode's arrangement (an MPI run's, block
+	// after block) is not cell-ascending here, and the rebuild re-sorts it.
 	if pos := cfg.Init.moved(); pos != nil {
 		for i, id := range s.ps.ID[:cfg.N] {
 			for k := 0; k < cfg.D; k++ {
@@ -78,7 +77,7 @@ func newSharedSim(cfg Config) (*sharedSim, error) {
 			}
 		}
 	}
-	return s, nil
+	return s
 }
 
 // close releases the thread team's parked workers (no-op in Serial
@@ -216,9 +215,10 @@ func (s *sharedSim) step() float64 {
 }
 
 // gather arranges the store as it stands into arr.
-func (s *sharedSim) gather(arr *Arrangement) {
+func (s *sharedSim) gather(arr *Arrangement, iters int) {
 	n := s.cfg.N
 	arr.resize(s.cfg.D, n)
+	arr.Iters = iters
 	copy(arr.Order, s.ps.ID[:n])
 	for k := 0; k < s.cfg.D; k++ {
 		copy(arr.Pos[k], s.ps.Pos[k][:n])

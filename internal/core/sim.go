@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hybriddem/internal/decomp"
-	"hybriddem/internal/geom"
 	"hybriddem/internal/trace"
 )
 
@@ -19,7 +18,7 @@ type stepper interface {
 	agree(stop bool) bool                // the leader's verdict, known to every stepper
 	faultPoint(step int)                 // chaos injection site, before each step
 	offer(sink *snapCollector, iter int) // rollback snapshot of a just-rebuilt state
-	gather(arr *Arrangement)             // collective; the leader receives the state into arr
+	gather(arr *Arrangement, iters int)  // collective; the leader receives the state after iters measured iterations
 	report() part
 }
 
@@ -67,8 +66,7 @@ type Sim struct {
 	hooked int // ... that Probe and OnStep have been told of (ahead of iters after a rollback)
 	base   int // cumulative iterations before this session's first (AdvanceTo)
 
-	pos, vel []geom.Vec  // state gathered by the last Advance under CollectState
-	arr      Arrangement // ... and its arrangement, in storage the session keeps
+	arr Arrangement // the state the leader last gathered, in storage the session keeps
 
 	// Supervision (supervisor.go); ft is nil for a session a fault ends.
 	ft      *FTConfig
@@ -88,10 +86,7 @@ func open(cfg Config, ft *FTConfig) (*Sim, error) {
 	}
 	s := &Sim{cfg: cfg}
 	if !cfg.Mode.Distributed() {
-		sh, err := newSharedSim(cfg)
-		if err != nil {
-			return nil, err
-		}
+		sh := newSharedSim(cfg)
 		for i := 0; i < cfg.Warmup; i++ {
 			sh.step()
 		}
@@ -145,7 +140,6 @@ func (s *Sim) run(f func(stepper)) error {
 // the session.
 func (s *Sim) Advance(n int) error {
 	to := s.iters + n
-	s.pos, s.vel = nil, nil
 	if err := s.run(func(st stepper) { s.loop(st, to) }); err != nil {
 		return err
 	}
@@ -178,7 +172,7 @@ func (s *Sim) loop(st stepper, to int) {
 		// and redelivering them would corrupt captures and event streams.
 		fresh := lead && i >= s.hooked
 		if cfg.Probe != nil {
-			st.gather(&s.arr)
+			st.gather(&s.arr, i+1)
 			if fresh {
 				pos, vel := s.arr.byID(cfg.Box())
 				cfg.Probe(i, pos, vel)
@@ -206,16 +200,15 @@ func (s *Sim) loop(st stepper, to int) {
 	p.iters, p.stopped = i, stopped
 	s.parts[st.rank()] = p
 	if cfg.CollectState { // after the report: the gather is not part of the run it describes
-		st.gather(&s.arr)
-		if lead {
-			s.pos, s.vel = s.arr.byID(cfg.Box())
-		}
+		st.gather(&s.arr, i)
 	}
 }
 
 // Result reports the session since Open (since the last rollback, if
 // any), with the last Advance's state under Config.CollectState: the
 // slowest stepper's timing, the leader's phase split, summed counters.
+// Pos and Vel are the Result's own, its Arrangement the session's: a
+// checkpoint.FromResult after the next Advance refuses it.
 func (s *Sim) Result() *Result {
 	p0 := &s.parts[0]
 	meas := float64(max(p0.steps, 1))
@@ -232,11 +225,10 @@ func (s *Sim) Result() *Result {
 		CollTime:     p0.collTime / meas,
 		MeanLinkDist: p0.meanDist,
 		Tree:         p0.tree,
-		Pos:          s.pos,
-		Vel:          s.vel,
 	}
-	if s.pos != nil {
-		res.Arrangement = &s.arr
+	if a := &s.arr; s.cfg.CollectState && a.Order != nil && a.Iters == s.iters {
+		res.Pos, res.Vel = a.byID(s.cfg.Box())
+		res.Arrangement = a
 	}
 	// Reduced in rank order, like the collectives that used to do it.
 	var timed, clock, maxLoad, sumLoad float64

@@ -17,10 +17,7 @@ const steadyWarm = 3
 // zero-allocation property visible in benchmark output (and in CI,
 // which runs these with -benchtime=1x as a smoke test).
 func benchShared(b *testing.B, cfg Config, warm int) {
-	s, err := newSharedSim(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newSharedSim(cfg)
 	defer s.close()
 	for i := 0; i < warm; i++ {
 		s.step()

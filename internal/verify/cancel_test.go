@@ -23,32 +23,56 @@ func cancelConfig(d, n int) core.Config {
 	return cfg
 }
 
-// denseBed is cancelConfig(3, n) settling under gravity into the bottom
-// half of the box: dense enough that the order forces are summed in
-// reaches the last bit within a few steps, which is where a resume
+// denseBed is cancelConfig(d, n) settling under gravity into the
+// bottom half of the box: dense enough that the order forces are summed
+// in reaches the last bit within a few steps, which is where a resume
 // that stored its particles in any other order than the run it
 // continues shows up.
-func denseBed(n int) core.Config {
-	cfg := cancelConfig(3, n)
+func denseBed(d, n int) core.Config {
+	cfg := cancelConfig(d, n)
 	cfg.FillHeight = 0.5
 	cfg.Gravity = -20
 	return cfg
 }
 
-// resumeModes are the five execution modes with cache reordering on,
-// as the resume guarantee is stated. The thread rows use the Transpose
-// reduction: under the lock methods the order two threads add into a
-// shared particle depends on the host's scheduling, so two runs of the
-// same configuration need not agree bit for bit.
-var resumeModes = []struct {
+type resumeMode struct {
 	name string
 	set  func(*core.Config)
-}{
+}
+
+// resumeModes are the five execution modes with cache reordering on,
+// as the resume guarantee is stated, followed by the variants a resume
+// exercises in ways of their own: a rebalancing epoch — LPT, and ORB on
+// three ranks — at the rebuild that opens the resumed run, the fused
+// kernel, and the lock update methods. The thread rows at T=2 use the
+// Transpose reduction: under the lock methods the order two threads add
+// into a shared particle depends on the host's scheduling, so two runs
+// of the same configuration need not agree bit for bit; the lock
+// methods and the fused kernel run at T=1.
+var resumeModes = []resumeMode{
 	{"serial", func(c *core.Config) { c.Mode = core.Serial }},
 	{"openmp", func(c *core.Config) { c.Mode = core.OpenMP; c.T = 2; c.Method = shm.Transpose }},
 	{"mpi", func(c *core.Config) { c.Mode = core.MPI; c.P = 2; c.BlocksPerProc = 2 }},
 	{"hybrid", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 2; c.Method = shm.Transpose }},
 	{"mpism", func(c *core.Config) { c.Mode = core.MPIsm; c.P = 2 }},
+	{"mpi-lpt", func(c *core.Config) {
+		c.Mode = core.MPI
+		c.P, c.BlocksPerProc = 2, 4
+		c.Rebalance = core.RebalanceLPT
+	}},
+	{"mpi-p3-orb", func(c *core.Config) {
+		c.Mode = core.MPI
+		c.P, c.BlocksPerProc = 3, 4
+		c.Rebalance = core.RebalanceORB
+	}},
+	{"openmp-selected-t1", func(c *core.Config) { c.Mode = core.OpenMP; c.T = 1 }},
+	{"hybrid-selected-t1", func(c *core.Config) { c.Mode = core.Hybrid; c.P = 2; c.T = 1 }},
+	{"hybrid-fused-t1", func(c *core.Config) {
+		c.Mode = core.Hybrid
+		c.P, c.T = 2, 1
+		c.Method = shm.Atomic
+		c.Fused = true
+	}},
 }
 
 // captureUntilCanceled runs cfg with a Stop hook that fires once reqAt
@@ -108,8 +132,9 @@ func resumeFrom(t *testing.T, base core.Config, res *core.Result, iters int) *Tr
 }
 
 // TestCancelResumeEveryStep enumerates the resume guarantee instead of
-// sampling it: in all five modes with cache reordering on, on a sparse
-// 2-D bed, a dense settling 3-D bed and a bed of damped bonded grains,
+// sampling it: in all five modes with cache reordering on, and their
+// rebalancing, fused and lock-method variants, on a sparse 2-D bed, a
+// dense settling bed in 2-D and 3-D and a bed of damped bonded grains,
 // a run canceled after every step k in [1, 40], checkpointed through a
 // file and resumed replays the remaining steps on the bits of a run
 // that never stopped. -short keeps a few cuts.
@@ -131,7 +156,8 @@ func TestCancelResumeEveryStep(t *testing.T) {
 		cfg  core.Config
 	}{
 		{"sparse-2d", cancelConfig(2, 200)},
-		{"dense-3d", denseBed(1500)},
+		{"dense-2d", denseBed(2, 1500)},
+		{"dense-3d", denseBed(3, 1500)},
 		{"grains-2d", grains},
 	}
 	for _, bed := range beds {
