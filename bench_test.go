@@ -89,25 +89,25 @@ func benchSystem(b *testing.B, d, n int, rcFactor float64) (*particle.Store, *ce
 	return ps, list, box, cfg.Spring
 }
 
-func BenchmarkForceSerial2D(b *testing.B) {
-	ps, list, box, sp := benchSystem(b, 2, 50_000, 1.5)
+// forceSerial runs the serial pair kernel over a uniform store of 5·10⁴
+// particles at rest and reports the list length, ns/link and
+// contacts/link, so a kernel regression shows without arithmetic.
+func forceSerial(b *testing.B, d int) {
+	ps, list, box, sp := benchSystem(b, d, 50_000, 1.5)
+	var tc trace.Counters
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps.ZeroForces()
-		sp.Accumulate(ps, list.Links, ps.Len(), box, 1, nil)
+		sp.Accumulate(ps, list.Links, ps.Len(), box, 1, &tc)
 	}
+	links := float64(b.N * len(list.Links))
 	b.ReportMetric(float64(len(list.Links)), "links")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/links, "ns/link")
+	b.ReportMetric(float64(tc.Contacts)/links, "contacts/link")
 }
 
-func BenchmarkForceSerial3D(b *testing.B) {
-	ps, list, box, sp := benchSystem(b, 3, 50_000, 1.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps.ZeroForces()
-		sp.Accumulate(ps, list.Links, ps.Len(), box, 1, nil)
-	}
-	b.ReportMetric(float64(len(list.Links)), "links")
-}
+func BenchmarkForceSerial2D(b *testing.B) { forceSerial(b, 2) }
+func BenchmarkForceSerial3D(b *testing.B) { forceSerial(b, 3) }
 
 func benchUpdater(b *testing.B, method shm.Method, threads int) {
 	ps, list, box, sp := benchSystem(b, 3, 50_000, 1.5)
@@ -149,8 +149,9 @@ func BenchmarkLinkListBuild3D(b *testing.B) {
 // BenchmarkLinkBuildBed3D is the rebuild's link generation on hostbench's
 // bed3d density (the bottom quarter of the box, ~13 particles a cell): bin
 // the reordered store and build the list into reused storage, as a serial
-// rebuild does. CI holds ns/link to 4x BenchmarkForceSerial3D's and to
-// 0 allocs/op (bench-and-alloc-gate).
+// rebuild does. CI holds ns/link to 4x the one-pass pair loop's on
+// BenchmarkForceSerial3D's list (internal/force BenchmarkPairKernel3D)
+// and to 0 allocs/op (bench-and-alloc-gate).
 func BenchmarkLinkBuildBed3D(b *testing.B) {
 	cfg := core.Default(3, 30_000)
 	box := cfg.Box()

@@ -218,14 +218,6 @@ type Config struct {
 
 	Reorder bool // cell-order particle reordering at every list rebuild
 
-	// Float32 switches the serial pair kernel to the single-precision
-	// fast path: pair geometry evaluates on float32 mirrors of the
-	// positions while forces and energies still accumulate in float64.
-	// Trajectories are NOT bit-identical to the double-precision
-	// kernel — verify.CompareApprox bounds the drift. Serial mode
-	// only, incompatible with bond tables.
-	Float32 bool
-
 	Mode          Mode
 	P             int        // MPI ranks (MPI/Hybrid)
 	T             int        // threads (OpenMP/Hybrid)
@@ -399,14 +391,6 @@ func (c *Config) Validate() error {
 	if bt := c.Spring.Bonds; bt != nil && bt.MaxRest() >= c.RC() {
 		return fmt.Errorf("core: longest bond rest length %g reaches the cutoff %g; bonded pairs would leave the link list",
 			bt.MaxRest(), c.RC())
-	}
-	if c.Float32 {
-		if c.Mode != Serial {
-			return fmt.Errorf("core: Float32 fast path is serial-only (mode %v)", c.Mode)
-		}
-		if c.Spring.Bonds != nil {
-			return fmt.Errorf("core: Float32 fast path does not support bond tables")
-		}
 	}
 	switch c.Mode {
 	case Serial:

@@ -338,20 +338,14 @@ func TestModeTableCoverage(t *testing.T) {
 	}
 }
 
-// TestMpismValidation pins mpism's own constraints: threads are the
-// node's other ranks, so T>1 is illegal, and the float32 halo
-// compression remains a serial-only experiment.
+// TestMpismValidation pins mpism's own constraint: threads are the
+// node's other ranks, so T>1 is illegal.
 func TestMpismValidation(t *testing.T) {
 	cfg := Default(2, 100)
 	cfg.Mode = MPIsm
 	cfg.P, cfg.T = 4, 2
 	if err := cfg.Validate(); err == nil {
 		t.Error("mpism with T=2 accepted")
-	}
-	cfg.T = 1
-	cfg.Float32 = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("mpism with the Float32 fast path accepted")
 	}
 }
 

@@ -181,3 +181,49 @@ func TestSupervisedRollbackAcrossChunkBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanLinkDistIsTheListsDistSum: the locality figure a Result
+// reports is the one the link builder summed — the leader's lists'
+// DistSum over their link count — after rebuilds in every shape.
+func TestMeanLinkDistIsTheListsDistSum(t *testing.T) {
+	for _, mode := range []Mode{Serial, OpenMP, MPI, Hybrid} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := bedConfig(mode)
+			if mode == OpenMP {
+				cfg.P, cfg.BlocksPerProc, cfg.T, cfg.Method = 1, 1, 2, shm.Transpose
+			}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Advance(30); err != nil {
+				t.Fatal(err)
+			}
+			res := s.Result()
+			var sum, links int64
+			err = s.run(func(st stepper) {
+				switch st := st.(type) {
+				case *sharedSim:
+					sum, links = st.list.DistSum, int64(len(st.list.Links))
+				case *rankSim:
+					if st.rank() == 0 {
+						for _, b := range st.dm.Blocks {
+							sum += b.List.DistSum
+							links += int64(len(b.List.Links))
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rebuilds == 0 || links == 0 || sum <= 0 {
+				t.Fatalf("degenerate run: %d rebuilds, %d links, DistSum %d", res.Rebuilds, links, sum)
+			}
+			if want := float64(sum) / float64(links); res.MeanLinkDist != want {
+				t.Fatalf("MeanLinkDist %v, leader's lists %d / %d = %v", res.MeanLinkDist, sum, links, want)
+			}
+		})
+	}
+}

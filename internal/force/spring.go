@@ -129,15 +129,13 @@ func unlock(l *int32) { atomic.StoreInt32(l, 0) }
 // updaters of internal/shm run too: AccumulateRange with the store's
 // own force array as a lock-free sink.
 func (s Spring) Accumulate(ps *particle.Store, links []cell.Link, nCore int, box geom.Box, energyScale float64, tc *trace.Counters) float64 {
-	epot, contacts, distSum := s.AccumulateRange(&Sink{Frc: &ps.Frc}, ps, links, nCore, box, 0, energyScale)
+	epot, contacts := s.AccumulateRange(&Sink{Frc: &ps.Frc}, ps, links, nCore, box, 0, energyScale)
 	if tc != nil {
 		n := int64(len(links))
 		tc.ForceEvals += n
 		tc.LinkVisits += n
 		tc.Contacts += contacts
 		tc.ForceUpdates += 2 * n
-		tc.LinkIndexDistSum += distSum
-		tc.LinkIndexDistN += n
 	}
 	return epot
 }
@@ -147,7 +145,8 @@ func (s Spring) Accumulate(ps *particle.Store, links []cell.Link, nCore int, box
 // epot plus scale times every pair energy — one running accumulator,
 // so a caller that threads the result of one range into the next gets
 // the sum a single loop would have produced — with the number of
-// contacts and the summed |I-J| index distance of the range.
+// contacts in the range. (The cost model's locality figure is the
+// list's DistSum, which the builder sums as it emits.)
 //
 // Without a bond table or a hook it dispatches to the
 // dimension-specialised structure-of-arrays loops, whose inner bodies
@@ -159,9 +158,9 @@ func (s Spring) Accumulate(ps *particle.Store, links []cell.Link, nCore int, box
 // enforces against pre-refactor golden trajectories and the shm
 // differential test enforces sink by sink. scale must be a power of
 // two for that to hold (it is 1 or 1/2): see energyCoeff.
-func (s Spring) AccumulateRange(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64, int64) {
+func (s Spring) AccumulateRange(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64) {
 	if len(links) == 0 {
-		return epot, 0, 0
+		return epot, 0
 	}
 	if s.Bonds == nil && dst.Hook == nil {
 		switch ps.D {
@@ -186,216 +185,294 @@ func (s Spring) energyCoeff(scale float64) float64 {
 	return 0.5 * s.K * scale
 }
 
-// accumulate2 is the d=2 contact kernel on component slices.
+// batch is how many links a contact kernel tests before it evaluates
+// any of them: enough to keep the test loop long, few enough that the
+// contacts it collects stay in L1 for the second pass. It is a power of
+// two, so masking a slot index with batch-1 proves it in range.
+const batch = 128
+
+// slot is a contact the first pass of a batch found: its endpoints,
+// its minimum-image displacement and r².
+type slot struct {
+	i, j       int32
+	dx, dy, dz float64
+	r2         float64
+}
+
+// inContact is the contact test, !(r2 >= diam2 || r2 == 0), as 0 or 1
+// with no data-dependent branch: each half compiles to a SETcc. A NaN
+// r2 is a contact, so a blown-up particle spreads NaN instead of
+// vanishing; r2 == 0 is read off the bits with the sign shifted out,
+// which is exact for both zeros and every NaN.
+func inContact(r2, diam2 float64) int {
+	var near, apart int
+	if !(r2 >= diam2) {
+		near = 1
+	}
+	if math.Float64bits(r2)<<1 != 0 {
+		apart = 1
+	}
+	return near & apart
+}
+
+// wrap returns the minimum image of the coordinate difference d on an
+// axis of edge l and half edge h.
+func wrap(d, h, l float64) float64 {
+	if d > h {
+		return d - l
+	}
+	if d < -h {
+		return d + l
+	}
+	return d
+}
+
+// near2 and near3 are the first pass of a batch: the minimum-image
+// displacement and r² of every link in blk, written to the next free
+// slot of hit with the slot cursor advanced by inContact — no branch on
+// the distance, which a contact rate near a third would mispredict.
+// h and edge are the box's half edges (+Inf on an axis that does not
+// wrap) and edges. They return the number of slots filled.
 //
-// Two deviations from the naive loop are exact and deliberate:
-// non-contact links skip their force writes (the skipped adds are all
-// ±0.0, and an accumulator seeded at +0.0 under IEEE-754
-// round-to-nearest can never become -0.0 through ±x adds, so skipping
-// never changes a bit), and the relative velocity loads only when the
-// spring is damped — the undamped law never reads them.
-func (s Spring) accumulate2(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64, int64) {
+// A component reaches wrap only when its square is at least the half
+// edge's. Every component past the half edge gets there, since rounding
+// is monotonic, and the rest come back from wrap unchanged, so the
+// displacement is bit for bit what wrap alone gives, while the common
+// in-box component pays one compare, on a square r² needs anyway.
+func near2(hit *[batch]slot, blk []cell.Link, x0, x1 []float64, h, edge *geom.Vec, diam2 float64) int {
+	h0, h1, l0, l1 := h[0], h[1], edge[0], edge[1]
+	hh0, hh1 := h0*h0, h1*h1
+	k := 0
+	for _, l := range blk {
+		i, j := l.I, l.J
+		dx := x0[j] - x0[i]
+		qx := dx * dx
+		if qx >= hh0 {
+			dx = wrap(dx, h0, l0)
+			qx = dx * dx
+		}
+		dy := x1[j] - x1[i]
+		qy := dy * dy
+		if qy >= hh1 {
+			dy = wrap(dy, h1, l1)
+			qy = dy * dy
+		}
+		r2 := qx + qy
+		c := &hit[k&(batch-1)]
+		c.i, c.j, c.dx, c.dy, c.r2 = i, j, dx, dy, r2
+		k += inContact(r2, diam2)
+	}
+	return k
+}
+
+func near3(hit *[batch]slot, blk []cell.Link, x0, x1, x2 []float64, h, edge *geom.Vec, diam2 float64) int {
+	h0, h1, h2 := h[0], h[1], h[2]
+	l0, l1, l2 := edge[0], edge[1], edge[2]
+	hh0, hh1, hh2 := h0*h0, h1*h1, h2*h2
+	k := 0
+	for _, l := range blk {
+		i, j := l.I, l.J
+		dx := x0[j] - x0[i]
+		qx := dx * dx
+		if qx >= hh0 {
+			dx = wrap(dx, h0, l0)
+			qx = dx * dx
+		}
+		dy := x1[j] - x1[i]
+		qy := dy * dy
+		if qy >= hh1 {
+			dy = wrap(dy, h1, l1)
+			qy = dy * dy
+		}
+		dz := x2[j] - x2[i]
+		qz := dz * dz
+		if qz >= hh2 {
+			dz = wrap(dz, h2, l2)
+			qz = dz * dz
+		}
+		r2 := qx + qy + qz
+		c := &hit[k&(batch-1)]
+		c.i, c.j, c.dx, c.dy, c.dz, c.r2 = i, j, dx, dy, dz, r2
+		k += inContact(r2, diam2)
+	}
+	return k
+}
+
+// accumulate2 is the d=2 contact kernel on component slices. It walks
+// the links in batches of two passes: near2 finds the contacts, then
+// the contact law runs on the slots it filled, in link order.
+//
+// The result is bit for bit that of one loop branching on the contact
+// test: each link's displacement and r² are the same operations on the
+// same operands, the contacts reach every particle and epot in link
+// order, and a link out of contact would only add ±0.0, which cannot
+// change an accumulator seeded at +0.0 under IEEE-754 round-to-nearest. The
+// relative velocity loads only when the spring is damped — the
+// undamped law never reads it.
+func (s Spring) accumulate2(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64) {
 	n := ps.Len()
 	x0, x1 := ps.Pos[0][:n], ps.Pos[1][:n]
 	v0, v1 := ps.Vel[0][:n], ps.Vel[1][:n]
 	f0, f1 := dst.Frc[0][:n], dst.Frc[1][:n]
 	h := box.HalfLengths()
-	l0, l1 := box.Len[0], box.Len[1]
-	h0, h1 := h[0], h[1]
 	diam2 := s.Diameter * s.Diameter
 	hertz, damp := s.Hertz, s.Damp
 	ke := s.energyCoeff(scale)
 	nc := int32(nCore)
-	var contacts, distSum int64
-	for _, l := range links {
-		i, j := l.I, l.J
-		di := int64(i) - int64(j)
-		if di < 0 {
-			di = -di
-		}
-		distSum += di
-		dx := x0[j] - x0[i]
-		if dx > h0 {
-			dx -= l0
-		} else if dx < -h0 {
-			dx += l0
-		}
-		dy := x1[j] - x1[i]
-		if dy > h1 {
-			dy -= l1
-		} else if dy < -h1 {
-			dy += l1
-		}
-		r2 := dx*dx + dy*dy
-		if r2 >= diam2 || r2 == 0 {
-			continue
-		}
-		contacts++
-		r := math.Sqrt(r2)
-		inv := 1.0 / r
-		overlap := s.Diameter - r
-		var mag, epair float64
-		if hertz {
-			hh := overlap * math.Sqrt(overlap)
-			mag = s.K * hh
-			epair = ke * hh * overlap
-		} else {
-			mag = s.K * overlap
-			epair = ke * overlap * overlap
-		}
-		if damp > 0 {
-			vn := ((v0[j]-v0[i])*dx + (v1[j]-v1[i])*dy) * inv
-			mag -= damp * vn
-		}
-		epot += epair
-		fx := -mag * dx * inv
-		fy := -mag * dy * inv
-		// The lock-free sink gets its own copy of the adds, and the
-		// mask is read through dst only past this test: hoisting it
-		// into locals costs the whole loop registers, and the serial
-		// kernel several percent.
-		if dst.Shared == nil {
+	var contacts int64
+	var hit [batch]slot
+	for len(links) > 0 {
+		blk := links[:min(batch, len(links))]
+		links = links[len(blk):]
+		k := near2(&hit, blk, x0, x1, &h, &box.Len, diam2)
+		contacts += int64(k)
+		for q := 0; q < k; q++ {
+			c := &hit[q&(batch-1)]
+			i, j, dx, dy := c.i, c.j, c.dx, c.dy
+			r := math.Sqrt(c.r2)
+			inv := 1.0 / r
+			overlap := s.Diameter - r
+			var mag, epair float64
+			if hertz {
+				hh := overlap * math.Sqrt(overlap)
+				mag = s.K * hh
+				epair = ke * hh * overlap
+			} else {
+				mag = s.K * overlap
+				epair = ke * overlap * overlap
+			}
+			if damp > 0 {
+				vn := ((v0[j]-v0[i])*dx + (v1[j]-v1[i])*dy) * inv
+				mag -= damp * vn
+			}
+			epot += epair
+			fx := -mag * dx * inv
+			fy := -mag * dy * inv
+			// The lock-free sink gets its own copy of the adds, and the
+			// mask is read through dst only past this test: hoisting it
+			// into locals costs the whole loop registers, and the serial
+			// kernel several percent.
+			if dst.Shared == nil {
+				f0[i] += fx
+				f1[i] += fy
+				if j < nc {
+					f0[j] -= fx
+					f1[j] -= fy
+				}
+				continue
+			}
+			shared, locks := dst.Shared, dst.Locks
+			held := shared[i]
+			if held {
+				lock(&locks[i])
+			}
 			f0[i] += fx
 			f1[i] += fy
+			if held {
+				unlock(&locks[i])
+			}
 			if j < nc {
+				if held = shared[j]; held {
+					lock(&locks[j])
+				}
 				f0[j] -= fx
 				f1[j] -= fy
-			}
-			continue
-		}
-		shared, locks := dst.Shared, dst.Locks
-		held := shared[i]
-		if held {
-			lock(&locks[i])
-		}
-		f0[i] += fx
-		f1[i] += fy
-		if held {
-			unlock(&locks[i])
-		}
-		if j < nc {
-			if held = shared[j]; held {
-				lock(&locks[j])
-			}
-			f0[j] -= fx
-			f1[j] -= fy
-			if held {
-				unlock(&locks[j])
+				if held {
+					unlock(&locks[j])
+				}
 			}
 		}
 	}
-	return epot, contacts, distSum
+	return epot, contacts
 }
 
 // accumulate3 is the d=3 contact kernel on component slices; see
-// accumulate2 for the exactness argument.
-func (s Spring) accumulate3(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64, int64) {
+// accumulate2 for the two passes and why they are exact.
+func (s Spring) accumulate3(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64) {
 	n := ps.Len()
 	x0, x1, x2 := ps.Pos[0][:n], ps.Pos[1][:n], ps.Pos[2][:n]
 	v0, v1, v2 := ps.Vel[0][:n], ps.Vel[1][:n], ps.Vel[2][:n]
 	f0, f1, f2 := dst.Frc[0][:n], dst.Frc[1][:n], dst.Frc[2][:n]
 	h := box.HalfLengths()
-	l0, l1, l2 := box.Len[0], box.Len[1], box.Len[2]
-	h0, h1, h2 := h[0], h[1], h[2]
 	diam2 := s.Diameter * s.Diameter
 	hertz, damp := s.Hertz, s.Damp
 	ke := s.energyCoeff(scale)
 	nc := int32(nCore)
-	var contacts, distSum int64
-	for _, l := range links {
-		i, j := l.I, l.J
-		di := int64(i) - int64(j)
-		if di < 0 {
-			di = -di
-		}
-		distSum += di
-		dx := x0[j] - x0[i]
-		if dx > h0 {
-			dx -= l0
-		} else if dx < -h0 {
-			dx += l0
-		}
-		dy := x1[j] - x1[i]
-		if dy > h1 {
-			dy -= l1
-		} else if dy < -h1 {
-			dy += l1
-		}
-		dz := x2[j] - x2[i]
-		if dz > h2 {
-			dz -= l2
-		} else if dz < -h2 {
-			dz += l2
-		}
-		r2 := dx*dx + dy*dy + dz*dz
-		if r2 >= diam2 || r2 == 0 {
-			continue
-		}
-		contacts++
-		r := math.Sqrt(r2)
-		inv := 1.0 / r
-		overlap := s.Diameter - r
-		var mag, epair float64
-		if hertz {
-			hh := overlap * math.Sqrt(overlap)
-			mag = s.K * hh
-			epair = ke * hh * overlap
-		} else {
-			mag = s.K * overlap
-			epair = ke * overlap * overlap
-		}
-		if damp > 0 {
-			vn := ((v0[j]-v0[i])*dx + (v1[j]-v1[i])*dy + (v2[j]-v2[i])*dz) * inv
-			mag -= damp * vn
-		}
-		epot += epair
-		fx := -mag * dx * inv
-		fy := -mag * dy * inv
-		fz := -mag * dz * inv
-		if dst.Shared == nil {
+	var contacts int64
+	var hit [batch]slot
+	for len(links) > 0 {
+		blk := links[:min(batch, len(links))]
+		links = links[len(blk):]
+		k := near3(&hit, blk, x0, x1, x2, &h, &box.Len, diam2)
+		contacts += int64(k)
+		for q := 0; q < k; q++ {
+			c := &hit[q&(batch-1)]
+			i, j, dx, dy, dz := c.i, c.j, c.dx, c.dy, c.dz
+			r := math.Sqrt(c.r2)
+			inv := 1.0 / r
+			overlap := s.Diameter - r
+			var mag, epair float64
+			if hertz {
+				hh := overlap * math.Sqrt(overlap)
+				mag = s.K * hh
+				epair = ke * hh * overlap
+			} else {
+				mag = s.K * overlap
+				epair = ke * overlap * overlap
+			}
+			if damp > 0 {
+				vn := ((v0[j]-v0[i])*dx + (v1[j]-v1[i])*dy + (v2[j]-v2[i])*dz) * inv
+				mag -= damp * vn
+			}
+			epot += epair
+			fx := -mag * dx * inv
+			fy := -mag * dy * inv
+			fz := -mag * dz * inv
+			if dst.Shared == nil {
+				f0[i] += fx
+				f1[i] += fy
+				f2[i] += fz
+				if j < nc {
+					f0[j] -= fx
+					f1[j] -= fy
+					f2[j] -= fz
+				}
+				continue
+			}
+			shared, locks := dst.Shared, dst.Locks
+			held := shared[i]
+			if held {
+				lock(&locks[i])
+			}
 			f0[i] += fx
 			f1[i] += fy
 			f2[i] += fz
+			if held {
+				unlock(&locks[i])
+			}
 			if j < nc {
+				if held = shared[j]; held {
+					lock(&locks[j])
+				}
 				f0[j] -= fx
 				f1[j] -= fy
 				f2[j] -= fz
-			}
-			continue
-		}
-		shared, locks := dst.Shared, dst.Locks
-		held := shared[i]
-		if held {
-			lock(&locks[i])
-		}
-		f0[i] += fx
-		f1[i] += fy
-		f2[i] += fz
-		if held {
-			unlock(&locks[i])
-		}
-		if j < nc {
-			if held = shared[j]; held {
-				lock(&locks[j])
-			}
-			f0[j] -= fx
-			f1[j] -= fy
-			f2[j] -= fz
-			if held {
-				unlock(&locks[j])
+				if held {
+					unlock(&locks[j])
+				}
 			}
 		}
 	}
-	return epot, contacts, distSum
+	return epot, contacts
 }
 
 // accumulateSlow is the generic kernel: it gathers Vec values from the
 // component slices and evaluates the bond-aware pair law, serving any
 // dimensionality, every bonded run and every hooked one.
-func (s Spring) accumulateSlow(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64, int64) {
+func (s Spring) accumulateSlow(dst *Sink, ps *particle.Store, links []cell.Link, nCore int, box geom.Box, epot, scale float64) (float64, int64) {
 	d := ps.D
 	pos, vel, ids := &ps.Pos, &ps.Vel, ps.ID
-	var contacts, distSum int64
+	var contacts int64
 	for _, l := range links {
 		disp := box.DispAt(pos, l.I, l.J)
 		rel := geom.SubAt(vel, l.J, l.I, d)
@@ -411,13 +488,8 @@ func (s Spring) accumulateSlow(dst *Sink, ps *particle.Store, links []cell.Link,
 		if int(l.J) < nCore {
 			dst.add(l.J, fi, d, -1)
 		}
-		di := int64(l.I) - int64(l.J)
-		if di < 0 {
-			di = -di
-		}
-		distSum += di
 	}
-	return epot, contacts, distSum
+	return epot, contacts
 }
 
 // add accumulates sign*v into particle p of the sink, under p's lock

@@ -137,6 +137,10 @@ func TestUpdaterSpecialisedEqualsGeneric(t *testing.T) {
 			if list.NCore == 0 || list.NCore == len(list.Links) {
 				t.Fatalf("d=%d %v: want core and halo links, have %d/%d", d, bc, list.NCore, len(list.Links))
 			}
+			// The locality figure is the builder's, not the kernel's.
+			if list.DistSum <= 0 || list.MeanDist() != float64(list.DistSum)/float64(len(list.Links)) {
+				t.Fatalf("d=%d %v: locality figure DistSum %d, MeanDist %g over %d links", d, bc, list.DistSum, list.MeanDist(), len(list.Links))
+			}
 			for _, sc := range diffSprings {
 				for _, m := range methods {
 					for _, T := range []int{1, 2, 3} {
@@ -168,7 +172,7 @@ func TestUpdaterSpecialisedEqualsGeneric(t *testing.T) {
 								var gen regionOutcome
 								withGenericLoop(func() { gen = run() })
 								spec.compare(t, gen, deterministic(m, T))
-								if spec.tc.Contacts == 0 || spec.tc.LinkIndexDistSum == 0 {
+								if spec.tc.Contacts == 0 {
 									t.Fatalf("degenerate system: %+v", spec.tc)
 								}
 							})

@@ -227,7 +227,7 @@ func (c *updateCounts) count(links []cell.Link, nCore int, mask []bool) {
 // in one force region.
 type tally struct {
 	epot                   float64
-	links, distSum         int64
+	links                  int64
 	contacts, contactsHalo int64
 	effLinks               float64 // core links + HaloWork * halo links
 }
@@ -240,17 +240,15 @@ type tally struct {
 // wait reads what the exchange is still writing.
 func (tl *tally) run(th *Thread, gate *HaloGate, sp force.Spring, dst *force.Sink, ps *particle.Store, links []cell.Link, lo, hi, nCoreLinks, nCore int, box geom.Box) (waited bool) {
 	mid := min(max(nCoreLinks, lo), hi)
-	var c, dist int64
-	tl.epot, c, dist = sp.AccumulateRange(dst, ps, links[lo:mid], nCore, box, tl.epot, 1)
+	var c int64
+	tl.epot, c = sp.AccumulateRange(dst, ps, links[lo:mid], nCore, box, tl.epot, 1)
 	tl.contacts += c
-	tl.distSum += dist
 	if gate != nil && (mid < hi || lo >= nCoreLinks) {
 		gate.Wait(th)
 		waited = true
 	}
-	tl.epot, c, dist = sp.AccumulateRange(dst, ps, links[mid:hi], nCore, box, tl.epot, 0.5)
+	tl.epot, c = sp.AccumulateRange(dst, ps, links[mid:hi], nCore, box, tl.epot, 0.5)
 	tl.contactsHalo += c
-	tl.distSum += dist
 	tl.links += int64(hi - lo)
 	tl.effLinks += float64(mid-lo) + float64(hi-mid)*th.team.Costs.haloWork()
 	return waited
@@ -263,8 +261,6 @@ func (tl *tally) book(th *Thread) (contactCost float64) {
 	th.TC.ForceEvals += tl.links
 	th.TC.LinkVisits += tl.links
 	th.TC.Contacts += tl.contacts + tl.contactsHalo
-	th.TC.LinkIndexDistSum += tl.distSum
-	th.TC.LinkIndexDistN += tl.links
 	return (float64(tl.contacts) + float64(tl.contactsHalo)*costs.haloWork()) * costs.PerContact
 }
 

@@ -52,13 +52,6 @@ type Counters struct {
 	AtomicsAvoided  int64 // updates the conflict table proved private
 	CriticalEnters  int64 // critical-section entries
 	ReductionWords  int64 // words combined by array-reduction strategies
-
-	// Cache-locality metric: sum over links of |i-j| index distance in
-	// the particle store, and the link count it averages over. The cost
-	// model maps the mean distance to a miss-rate factor; reordering
-	// collapses it.
-	LinkIndexDistSum int64
-	LinkIndexDistN   int64
 }
 
 // Add merges other into c.
@@ -91,23 +84,10 @@ func (c *Counters) Add(other *Counters) {
 	c.AtomicsAvoided += other.AtomicsAvoided
 	c.CriticalEnters += other.CriticalEnters
 	c.ReductionWords += other.ReductionWords
-	c.LinkIndexDistSum += other.LinkIndexDistSum
-	c.LinkIndexDistN += other.LinkIndexDistN
 }
 
 // Reset zeroes all counters.
 func (c *Counters) Reset() { *c = Counters{} }
-
-// MeanLinkIndexDist returns the average particle-index distance across
-// the endpoints of the links visited so far, or 0 when nothing was
-// recorded. Large values mean scattered access; small values mean the
-// store is in (near) cell order.
-func (c *Counters) MeanLinkIndexDist() float64 {
-	if c.LinkIndexDistN == 0 {
-		return 0
-	}
-	return float64(c.LinkIndexDistSum) / float64(c.LinkIndexDistN)
-}
 
 // AtomicFraction returns the fraction of force updates that required a
 // lock under the selected-atomic strategy. The paper reports this

@@ -34,18 +34,6 @@ func TestAddMergesAllFields(t *testing.T) {
 	}
 }
 
-func TestMeanLinkIndexDist(t *testing.T) {
-	var c Counters
-	if c.MeanLinkIndexDist() != 0 {
-		t.Error("empty mean not zero")
-	}
-	c.LinkIndexDistSum = 30
-	c.LinkIndexDistN = 10
-	if c.MeanLinkIndexDist() != 3 {
-		t.Errorf("mean = %g", c.MeanLinkIndexDist())
-	}
-}
-
 func TestAtomicFraction(t *testing.T) {
 	var c Counters
 	if c.AtomicFraction() != 0 {

@@ -1,93 +1,61 @@
 package verify
 
 import (
-	"strings"
 	"testing"
 
-	"hybriddem/internal/core"
 	"hybriddem/internal/geom"
 )
 
-// float32Pair captures the same scenario through the float64 serial
-// kernel and the single-precision fast path.
-func float32Pair(t *testing.T, k Kind, d, n int) (*Trajectory, *Trajectory, geom.Box) {
+// nudgedPair captures a scenario and a copy of its trajectory in which
+// one particle, from step 10 on, sits 1e-9 further along x and moves
+// 1e-9 faster: a drift a loose bound must accept and a tight one must
+// not.
+func nudgedPair(t *testing.T) (*Trajectory, *Trajectory, geom.Box) {
 	t.Helper()
-	cfg, err := Scenario(k, d, n, 7)
+	cfg, err := Scenario(Uniform, 2, 48, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Dt = 1e-3
-	ref, err := Capture(cfg, 60)
+	ref, err := Capture(cfg, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg32 := cfg
-	cfg32.Float32 = true
-	got, err := Capture(cfg32, 60)
-	if err != nil {
-		t.Fatal(err)
+	got := &Trajectory{Box: ref.Box, Res: ref.Res, Steps: make([]Step, len(ref.Steps))}
+	for s, st := range ref.Steps {
+		got.Steps[s] = Step{Pos: append([]geom.Vec(nil), st.Pos...), Vel: append([]geom.Vec(nil), st.Vel...)}
+		if s >= 10 {
+			got.Steps[s].Pos[5][0] += 1e-9
+			got.Steps[s].Vel[5][0] += 1e-9
+		}
 	}
 	return ref, got, cfg.Box()
 }
 
-// TestFloat32WithinApproxTol: the single-precision kernel must track
-// the float64 trajectory within the documented Float32Tol bounds on
-// every scenario family the goldens cover — and must actually diverge
-// bitwise, or the fast path silently fell back to the double kernel.
-func TestFloat32WithinApproxTol(t *testing.T) {
-	for _, tc := range []struct {
-		k Kind
-		d int
-		n int
-	}{
-		{Uniform, 2, 48},
-		{Clustered, 3, 256},
-		{NearBoundary, 2, 48},
-	} {
-		t.Run(tc.k.String(), func(t *testing.T) {
-			ref, got, box := float32Pair(t, tc.k, tc.d, tc.n)
-			if dv := CompareExact(ref, got); dv == nil {
-				t.Fatal("float32 path is bit-identical to float64 — fast path not engaged?")
-			}
-			if dv, max := CompareApprox(box, ref, got, Float32Tol(box)); dv != nil {
-				t.Fatalf("float32 drift beyond tolerance (max dev %.3g): %v", max, dv)
-			}
-		})
-	}
-}
-
-// TestCompareApproxRejectsTightBound: the same pair of trajectories
-// must fail under a bound far below the actual single-precision
-// drift — the comparator does detect the difference it is asked to.
+// TestCompareApproxRejectsTightBound: a bound far below the drift must
+// fail, at the step and particle where it starts, while one above it
+// passes — the comparator does detect the difference it is asked to.
 func TestCompareApproxRejectsTightBound(t *testing.T) {
-	ref, got, box := float32Pair(t, Uniform, 2, 48)
+	ref, got, box := nudgedPair(t)
 	tight := ApproxTol{Pos: FieldTol{Abs: 1e-14}, Vel: FieldTol{Abs: 1e-14}}
 	dv, _ := CompareApprox(box, ref, got, tight)
 	if dv == nil {
-		t.Fatal("1e-14 absolute bound accepted float32 drift")
+		t.Fatal("1e-14 absolute bound accepted a 1e-9 drift")
 	}
-	if dv.Field != "pos" && dv.Field != "vel" {
-		t.Fatalf("divergence field %q", dv.Field)
+	if dv.Step != 10 || dv.Particle != 5 || (dv.Field != "pos" && dv.Field != "vel") {
+		t.Fatalf("divergence at step %d, particle %d, field %q; want step 10, particle 5", dv.Step, dv.Particle, dv.Field)
+	}
+	loose := ApproxTol{Pos: FieldTol{Abs: 1e-8}, Vel: FieldTol{Abs: 1e-8}}
+	if dv, max := CompareApprox(box, ref, got, loose); dv != nil || max < 1e-9/2 {
+		t.Fatalf("1e-8 bound: %v (max dev %g)", dv, max)
 	}
 }
 
 // TestCompareApproxIdenticalPasses: a trajectory compared against
 // itself passes any bound, including all-zero.
 func TestCompareApproxIdenticalPasses(t *testing.T) {
-	ref, _, box := float32Pair(t, Uniform, 2, 48)
+	ref, _, box := nudgedPair(t)
 	if dv, max := CompareApprox(box, ref, ref, ApproxTol{}); dv != nil || max != 0 {
 		t.Fatalf("self-comparison diverged: %v (max %g)", dv, max)
-	}
-}
-
-// TestFloat32RejectsNonSerial: the fast path is serial-only and
-// incompatible with bond tables; Validate must say so.
-func TestFloat32RejectsNonSerial(t *testing.T) {
-	cfg := core.Default(2, 32)
-	cfg.Float32 = true
-	cfg.Mode = core.OpenMP
-	cfg.T = 2
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "serial-only") {
-		t.Fatalf("OpenMP+Float32 validated: %v", err)
 	}
 }

@@ -200,34 +200,14 @@ type ApproxTol struct {
 	Vel FieldTol
 }
 
-// Float32Tol is the default bound for comparing the single-precision
-// kernel (core.Config.Float32) against the float64 baseline: each
-// pair interaction rounds through float32 (2^-24 relative), and over
-// a few hundred steps the integrator compounds that into position and
-// velocity drift a few orders above one ulp. The box edge sets the
-// position scale, so the position bound is mostly absolute; velocity
-// scales with itself.
-func Float32Tol(box geom.Box) ApproxTol {
-	edge := box.Len[0]
-	for k := 1; k < box.D; k++ {
-		if box.Len[k] > edge {
-			edge = box.Len[k]
-		}
-	}
-	return ApproxTol{
-		Pos: FieldTol{Rel: 1e-4, Abs: 1e-4 * edge},
-		Vel: FieldTol{Rel: 1e-3, Abs: 1e-5},
-	}
-}
-
 // CompareApprox walks two trajectories like Compare but with
 // independent relative/absolute bounds per field, returning the first
 // violation (nil if none) and the maximum deviation seen in either
 // field. Positions are compared under the box's minimum image.
-// It is the oracle for transformations that legitimately perturb the
-// arithmetic — the float32 kernel path — where a single scalar
-// tolerance either drowns position drift or trips on near-zero
-// velocities.
+// It is the oracle for runs that legitimately perturb the arithmetic —
+// the lock methods at T>1, whose adds land in arrival order — where a
+// single scalar tolerance either drowns position drift or trips on
+// near-zero velocities.
 func CompareApprox(box geom.Box, a, b *Trajectory, tol ApproxTol) (*Divergence, float64) {
 	steps := len(a.Steps)
 	if len(b.Steps) < steps {
