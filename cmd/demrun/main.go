@@ -325,6 +325,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "energy          potential %.6g, kinetic %.6g\n", res.Epot, res.Ekin)
 	fmt.Fprintf(stdout, "links           %d (mean index distance %.0f)\n", res.NLinks, res.MeanLinkDist)
 	fmt.Fprintf(stdout, "rebuilds        %d during measurement\n", res.Rebuilds)
+	fmt.Fprintf(stdout, "contact view    walked on %d of %d measured steps\n", res.ViewSteps, res.Iters)
+	if v := res.TC.LinkVisits; v > 0 {
+		fmt.Fprintf(stdout, "links tested    %d of %d skin links (%.3f)\n", res.TC.LinksTested, v, float64(res.TC.LinksTested)/float64(v))
+	}
 	if res.AtomicFraction > 0 {
 		fmt.Fprintf(stdout, "lock fraction   %.2f%% of force updates\n", 100*res.AtomicFraction)
 	}

@@ -13,7 +13,8 @@ import (
 // allocation at all — into a caller's ListBuffer, across a pool, with
 // one thread (where the parallel entry point builds serially into the
 // grid's own storage), on the degenerate all-pairs box, and with a halo
-// to gather and split off.
+// to gather and split off; each build pruned to its contact-range view,
+// as the engine prunes it.
 func TestWarmRebuildZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -38,14 +39,18 @@ func TestWarmRebuildZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		g := NewGrid(2, geom.Vec{}, box.Len, tc.rc, true)
 		var buf ListBuffer
+		var view View
+		cut := 2 * tc.rc / 3
 		rebuild := func() {
+			var l *List
 			if tc.pool == nil {
 				g.Bin(&pos, n, nil)
-				g.BuildLinksInto(&buf, &pos, n, tc.nCore, tc.rc*tc.rc, box, nil)
+				l = g.BuildLinksInto(&buf, &pos, n, tc.nCore, tc.rc*tc.rc, box, nil)
 			} else {
 				g.BinParallel(&pos, n, tc.pool, nil)
-				g.BuildLinksParallel(&pos, n, tc.nCore, tc.rc*tc.rc, box, tc.pool, nil)
+				l = g.BuildLinksParallel(&pos, n, tc.nCore, tc.rc*tc.rc, box, tc.pool, nil)
 			}
+			view.Prune(l, &pos, box, cut*cut)
 		}
 		for i := 0; i < 3; i++ {
 			rebuild()

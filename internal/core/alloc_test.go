@@ -234,11 +234,37 @@ func TestStepSteadyStateZeroAllocDistributed(t *testing.T) {
 	}
 }
 
+// TestWarmRebuildZeroAllocShared is the cell layer's warm-rebuild gate
+// one level up for the Serial and OpenMP drivers: binning, reordering,
+// link generation, the prune to the contact-range view and the
+// updater's Prepare allocate nothing once warm.
+func TestWarmRebuildZeroAllocShared(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, mode := range []Mode{Serial, OpenMP} {
+		cfg := allocConfig(mode)
+		cfg.T = 2
+		s := newSharedSim(cfg)
+		for i := 0; i < 3; i++ {
+			s.rebuild()
+		}
+		if len(s.view.Links) == 0 || len(s.view.Links) == len(s.list.Links) {
+			t.Errorf("%v: the view holds %d of %d links", mode, len(s.view.Links), len(s.list.Links))
+		}
+		if avg := testing.AllocsPerRun(10, s.rebuild); avg != 0 {
+			t.Errorf("%v: warm rebuild allocates %g times per run, want 0", mode, avg)
+		}
+		s.close()
+	}
+}
+
 // TestWarmRebuildZeroAllocDistributed is the cell layer's warm-rebuild
 // gate one level up: a whole Domain.Rebuild — migration, reorder, halo
-// construction, binning and link generation — allocates nothing once
-// warm, on one thread and, in hybrid, with the rank's team attached to
-// the domain so that every block is binned and built across it.
+// construction, binning, link generation and the prune to every
+// block's contact-range view — allocates nothing once warm, on one
+// thread and, in hybrid, with the rank's team attached to the domain so
+// that every block is binned and built across it.
 func TestWarmRebuildZeroAllocDistributed(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -273,6 +299,9 @@ func TestWarmRebuildZeroAllocDistributed(t *testing.T) {
 				r.dm.FillClustered(cfg.N, cfg.Seed, cfg.InitVel, cfg.FillHeight)
 				for i := 0; i < 3; i++ {
 					rebuild()
+				}
+				if b := r.dm.Blocks[0]; len(b.View.Links) == 0 || len(b.View.Links) == len(b.List.Links) {
+					t.Errorf("rank %d: the view holds %d of %d links", c.Rank(), len(b.View.Links), len(b.List.Links))
 				}
 				var m1, m2 runtime.MemStats
 				c.Barrier()

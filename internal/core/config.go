@@ -475,6 +475,46 @@ func (c *Config) RC() float64 { return c.RCFactor * c.Spring.Diameter }
 // miss an interacting pair: half of (rc - rmax).
 func (c *Config) Skin() float64 { return (c.RC() - c.Spring.RMax()) / 2 }
 
+// viewSlack returns how far a particle may move from the positions a
+// list was built on before the contact-range view pruned there may miss
+// a contact: a quarter of the skin. A view keeps the links closer than
+// Diameter + 2·viewSlack, so while every particle has moved less than
+// viewSlack a link it left out is still apart. The fraction is
+// measured (EXPERIMENTS.md, "Host clock, pruned contact list"): at
+// Skin/8, /4 and /2 the view holds 0.36, 0.42 and 0.58 of uniform3d's
+// list and bed3d walks it on 2, 4 and 8 of the ~15 steps between
+// rebuilds; /4 had the best median serial step on both beds. It is 0
+// for a bonded spring, whose bonds act beyond contact: such a run
+// prunes no view and walks the skin list.
+func (c *Config) viewSlack() float64 {
+	if c.Spring.Bonds != nil {
+		return 0
+	}
+	return c.Skin() / 4
+}
+
+// viewCut2 returns the squared distance a view is pruned at,
+// 0 for no view. The 2⁻²⁰·viewSlack on top of Diameter + 2·viewSlack
+// is the rounding margin: it exceeds by orders of magnitude what
+// rounding can take off a displacement, a distance or a halo copy's
+// shifted coordinate (DESIGN.md §20).
+func (c *Config) viewCut2() float64 {
+	s := c.viewSlack()
+	if s == 0 {
+		return 0
+	}
+	cut := c.Spring.Diameter + 2*s + s/(1<<20)
+	return cut * cut
+}
+
+// viewValid reports whether a view pruned at the last list build may
+// still stand in for the skin list, given the largest squared
+// displacement since: false for a NaN, and always without a view.
+func (c *Config) viewValid(moved float64) bool {
+	s := c.viewSlack()
+	return moved < s*s
+}
+
 // Box returns the global simulation box.
 func (c *Config) Box() geom.Box { return geom.NewBox(c.D, c.L, c.BC) }
 
@@ -634,6 +674,7 @@ type Result struct {
 	Epot, Ekin float64 // final energies
 	NLinks     int64   // links at last rebuild (global)
 	Rebuilds   int     // list reconstructions during measurement
+	ViewSteps  int     // measured steps whose force pass walked the contact-range view, not the skin list
 
 	MeanLinkDist   float64 // locality metric of the final list
 	AtomicFraction float64 // protected fraction under selected-atomic

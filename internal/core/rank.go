@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybriddem/internal/cell"
 	"hybriddem/internal/decomp"
 	"hybriddem/internal/force"
 	"hybriddem/internal/geom"
@@ -35,6 +36,10 @@ type rankSim struct {
 	vote   [1]float64
 	stop   [1]float64    // the Stop verdict's allreduce buffer
 	gate   *shm.HaloGate // hybrid overlap only
+
+	// viewOK says the blocks' contact-range views, pruned at the last
+	// rebuild, may stand in for their lists in the next force pass.
+	viewOK bool
 
 	linkCost, contactCost, updCost, partCost float64
 
@@ -140,6 +145,9 @@ func newRankSim(cfg *Config, c *mp.Comm, l *decomp.Layout) *rankSim {
 			}
 		}
 	}
+	if r.fused == nil { // the fused updater walks the lists
+		r.dm.ViewCut2 = cfg.viewCut2()
+	}
 	return r
 }
 
@@ -149,6 +157,7 @@ func (r *rankSim) rebuild() {
 	r.dm.Rebuild(r.cfg.Reorder)
 	cfg := r.cfg
 	r.rebuilds++
+	r.viewOK = r.dm.ViewCut2 > 0
 	if t0, t1, moved := r.dm.LastRebalance(); moved {
 		phase := "rebalance"
 		if cfg.Rebalance == RebalanceORB {
@@ -215,6 +224,29 @@ func (r *rankSim) rebuild() {
 			}
 		}
 	}
+}
+
+// countView counts a step whose force pass walks the blocks' views.
+func (r *rankSim) countView() {
+	if r.viewOK {
+		r.viewSteps++
+	}
+}
+
+// setView decides, from the reduced largest squared displacement since
+// the last rebuild, whether the next force pass walks the views.
+func (r *rankSim) setView(moved float64) {
+	r.viewOK = r.dm.ViewCut2 > 0 && r.cfg.viewValid(moved)
+}
+
+// viewOf returns what the force pass walks for block b this step: its
+// view while the reduced displacement keeps it valid, else nil, the
+// skin list.
+func (r *rankSim) viewOf(b *decomp.Block) *cell.View {
+	if r.viewOK {
+		return &b.View
+	}
+	return nil
 }
 
 // refreshBlockViews resyncs the cached per-block views the team
@@ -290,6 +322,8 @@ func (r *rankSim) stepSync() float64 {
 
 	r.iter++
 
+	r.countView()
+
 	// Halo swap.
 	c0 := r.clock()
 	dm.RefreshHalos()
@@ -308,13 +342,14 @@ func (r *rankSim) stepSync() float64 {
 		hw := cfg.surfScale() / cfg.workScale()
 		for _, b := range dm.Blocks {
 			b.PS.ZeroForces()
+			v, links, nc := r.viewOf(b), b.List.Links, b.List.NCore
 			c0 := dm.TC.Contacts
-			epot += cfg.Spring.Accumulate(b.PS, b.List.CoreLinks(), b.NCore, plain, 1, &dm.TC)
+			epot += cfg.Spring.AccumulateView(b.PS, v.Walk(links, 0, nc), nc, b.NCore, plain, 1, &dm.TC)
 			cCore := dm.TC.Contacts - c0
-			epot += cfg.Spring.Accumulate(b.PS, b.List.HaloLinks(), b.NCore, plain, 0.5, &dm.TC)
+			epot += cfg.Spring.AccumulateView(b.PS, v.Walk(links, nc, len(links)), len(links)-nc, b.NCore, plain, 0.5, &dm.TC)
 			cHalo := dm.TC.Contacts - c0 - cCore
-			nCore := float64(b.List.NCore)
-			nHalo := float64(len(b.List.Links) - b.List.NCore)
+			nCore := float64(nc)
+			nHalo := float64(len(links) - nc)
 			eff := nCore + nHalo*hw
 			r.c.Compute(eff*r.linkCost +
 				(float64(cCore)+float64(cHalo)*hw)*r.contactCost +
@@ -330,7 +365,7 @@ func (r *rankSim) stepSync() float64 {
 	default:
 		shm.ZeroForcesAllBlocks(r.team, r.stores)
 		for i, b := range dm.Blocks {
-			epot += r.upds[i].Accumulate(r.team, cfg.Spring, b.PS, b.List.Links, b.List.NCore, b.NCore, plain)
+			epot += r.upds[i].AccumulateView(r.team, cfg.Spring, b.PS, b.List.Links, r.viewOf(b), b.List.NCore, b.NCore, plain)
 		}
 		r.applyGravityBlocks()
 	}
@@ -364,9 +399,13 @@ func (r *rankSim) stepSync() float64 {
 
 	elapsed := r.clock() - t0
 
-	// Validity check + rebuild live outside the timed window.
+	// Validity check + rebuild live outside the timed window. The
+	// reduced displacement decides the view too, so every rank walks
+	// the same kind of list.
 	b0 := r.clock()
-	if !r.dm.DisplacementValid(moved, cfg.Skin()) {
+	valid, global := r.dm.DisplacementValid(moved, cfg.Skin())
+	r.setView(global)
+	if !valid {
 		r.rebuild()
 		r.syncClocks()
 		r.span("rebuild", b0, r.clock())
@@ -395,6 +434,7 @@ func (r *rankSim) stepOverlap() float64 {
 	r.iter++
 
 	// Split-phase halo swap wrapped around the force phase.
+	r.countView()
 	var epot float64
 	switch {
 	case r.team == nil:
@@ -435,7 +475,8 @@ func (r *rankSim) stepOverlap() float64 {
 	b0 := r.clock()
 	vReq.Wait()
 	r.syncClocks()
-	if skin := cfg.Skin(); r.vote[0] >= skin*skin {
+	r.setView(r.vote[0])
+	if skin := cfg.Skin(); !(r.vote[0] < skin*skin) {
 		r.rebuild()
 		r.syncClocks()
 		r.span("rebuild", b0, r.clock())
@@ -483,7 +524,7 @@ func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
 			links := b.List.CoreLinks()
 			lo, hi := len(links)*s/d, len(links)*(s+1)/d
 			cc0 := dm.TC.Contacts
-			epot += cfg.Spring.Accumulate(b.PS, links[lo:hi], b.NCore, plain, 1, &dm.TC)
+			epot += cfg.Spring.AccumulateView(b.PS, r.viewOf(b).Walk(links, lo, hi), hi-lo, b.NCore, plain, 1, &dm.TC)
 			cc := dm.TC.Contacts - cc0
 			n := float64(hi - lo)
 			r.c.Compute(n*r.linkCost + float64(cc)*r.contactCost + 2*n*r.updCost)
@@ -502,10 +543,11 @@ func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
 	// Halo-link pass: only now are the halo positions current.
 	h0 := r.clock()
 	for _, b := range dm.Blocks {
+		links, nc := b.List.Links, b.List.NCore
 		cc0 := dm.TC.Contacts
-		epot += cfg.Spring.Accumulate(b.PS, b.List.HaloLinks(), b.NCore, plain, 0.5, &dm.TC)
+		epot += cfg.Spring.AccumulateView(b.PS, r.viewOf(b).Walk(links, nc, len(links)), len(links)-nc, b.NCore, plain, 0.5, &dm.TC)
 		cHalo := dm.TC.Contacts - cc0
-		nHalo := float64(len(b.List.Links) - b.List.NCore)
+		nHalo := float64(len(links) - nc)
 		r.c.Compute(nHalo*hw*r.linkCost + float64(cHalo)*hw*r.contactCost + 2*nHalo*hw*r.updCost)
 		if cfg.Gravity != 0 {
 			force.ApplyGravity(b.PS, b.NCore, cfg.D-1, cfg.Gravity)
@@ -549,7 +591,7 @@ func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
 		return 0
 	}
 	b0 := dm.Blocks[0]
-	r.upds[0].AccumulateStart(r.team, cfg.Spring, b0.PS, b0.List.Links, b0.List.NCore, b0.NCore, plain, r.gate)
+	r.upds[0].AccumulateStart(r.team, cfg.Spring, b0.PS, b0.List.Links, r.viewOf(b0), b0.List.NCore, b0.NCore, plain, r.gate)
 
 	d0 := r.c.Clock()
 	r.drainExchange()
@@ -559,7 +601,7 @@ func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
 	epot := r.upds[0].AccumulateFinish(r.team, d1)
 	for i := 1; i < len(dm.Blocks); i++ {
 		b := dm.Blocks[i]
-		epot += r.upds[i].Accumulate(r.team, cfg.Spring, b.PS, b.List.Links, b.List.NCore, b.NCore, plain)
+		epot += r.upds[i].AccumulateView(r.team, cfg.Spring, b.PS, b.List.Links, r.viewOf(b), b.List.NCore, b.NCore, plain)
 	}
 	r.applyGravityBlocks()
 	r.syncClocks()
@@ -834,6 +876,10 @@ func (s *Sim) startWorld() {
 			r.rebuild()
 			if moved != nil {
 				r.moveTo(moved)
+				if r.viewOK { // as the unbroken run found it: measured, reduced
+					_, global := r.dm.DisplacementValid(r.dm.MaxCoreDisp2(), cfg.Skin())
+					r.setView(global)
+				}
 			}
 			for i := 0; i < cfg.Warmup; i++ {
 				c.FaultPoint(i)
@@ -845,7 +891,7 @@ func (s *Sim) startWorld() {
 				r.team.SetClock(0)
 			}
 			r.forceTime, r.updateTime, r.commTime, r.collTime = 0, 0, 0, 0
-			r.rebuilds0 = r.rebuilds // the measured window opens here, at clock 0
+			r.rebuilds0, r.views0 = r.rebuilds, r.viewSteps // the measured window opens here, at clock 0
 			for {
 				select {
 				case f, ok := <-w.cmd[c.Rank()]:

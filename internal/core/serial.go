@@ -23,6 +23,8 @@ type sharedSim struct {
 	list    *cell.List
 	listBuf cell.ListBuffer // serial-path link storage, reused across rebuilds
 	ref     geom.Coords     // position snapshot at last rebuild, reused
+	view    cell.View       // list pruned to contact range at ref
+	viewOK  bool            // the next force pass may walk view
 
 	team *shm.Team // nil in Serial mode
 	upd  *shm.Updater
@@ -68,12 +70,15 @@ func newSharedSim(cfg Config) *sharedSim {
 	s.rebuild()
 	// By id, not by slot: another mode's arrangement (an MPI run's, block
 	// after block) is not cell-ascending here, and the rebuild re-sorts it.
+	// The view stands if the positions are as close to the references as
+	// the unbroken run found them.
 	if pos := cfg.Init.moved(); pos != nil {
 		for i, id := range s.ps.ID[:cfg.N] {
 			for k := 0; k < cfg.D; k++ {
 				s.ps.Pos[k][i] = pos[id][k]
 			}
 		}
+		s.viewOK = cfg.viewValid(s.ps.MaxDisp2(&s.ref, cfg.N, s.box))
 	}
 	return s
 }
@@ -115,6 +120,10 @@ func (s *sharedSim) rebuild() {
 	}
 	for k := 0; k < cfg.D; k++ {
 		s.ref[k] = append(s.ref[k][:0], s.ps.Pos[k][:cfg.N]...)
+	}
+	if cut2 := cfg.viewCut2(); cut2 > 0 {
+		s.view.Prune(s.list, &s.ps.Pos, s.box, cut2)
+		s.viewOK = true
 	}
 	s.meanDist = s.list.MeanDist()
 	s.rebuilds++
@@ -161,19 +170,26 @@ func (s *sharedSim) step() float64 {
 	s.iter++
 	t0 := s.nowClock()
 
-	// Force phase.
+	// Force phase, over the skin list or, while no particle has moved
+	// far enough to bring a pair it left out into contact, its view.
 	f0 := s.nowClock()
+	links := s.list.Links
+	var view *cell.View
+	if s.viewOK {
+		view = &s.view
+		s.viewSteps++
+	}
 	if s.team == nil {
 		s.ps.ZeroForces()
 		c0 := s.tc.Contacts
-		s.epot = cfg.Spring.Accumulate(s.ps, s.list.Links, cfg.N, s.box, 1, &s.tc)
-		n := int64(len(s.list.Links))
+		s.epot = cfg.Spring.AccumulateView(s.ps, view.Walk(links, 0, len(links)), len(links), cfg.N, s.box, 1, &s.tc)
+		n := int64(len(links))
 		s.clock += float64(n)*s.linkCost +
 			float64(s.tc.Contacts-c0)*s.contactCost +
 			2*float64(n)*s.updCost
 	} else {
 		shm.ZeroForcesParallel(s.team, s.ps, cfg.N)
-		s.epot = s.upd.Accumulate(s.team, cfg.Spring, s.ps, s.list.Links, len(s.list.Links), cfg.N, s.box)
+		s.epot = s.upd.AccumulateView(s.team, cfg.Spring, s.ps, links, view, len(links), cfg.N, s.box)
 	}
 	if cfg.Gravity != 0 {
 		force.ApplyGravity(s.ps, cfg.N, cfg.D-1, cfg.Gravity)
@@ -198,9 +214,9 @@ func (s *sharedSim) step() float64 {
 	elapsed := s.nowClock() - t0
 
 	// List validity (outside the timed window, like the paper's
-	// excluded link generation).
-	skin := cfg.Skin()
-	if moved >= skin*skin {
+	// excluded link generation). A NaN displacement fails both tests.
+	s.viewOK = cfg.viewValid(moved)
+	if skin := cfg.Skin(); !(moved < skin*skin) {
 		b0 := s.nowClock()
 		s.rebuild()
 		s.span("rebuild", b0, s.nowClock())

@@ -25,6 +25,7 @@ type stepper interface {
 // the measured window's accumulators, which belong to Sim.loop.
 type tally struct {
 	rebuilds   int
+	viewSteps  int // steps whose force pass walked the contact-range view
 	meanDist   float64
 	epot, ekin float64
 	iter       int
@@ -35,6 +36,7 @@ type tally struct {
 	timed     float64       // modelled seconds of their timed windows
 	wall      time.Duration // host time of the measured loops
 	rebuilds0 int           // rebuilds before the measured window
+	views0    int           // view steps before it
 	clock0    float64       // virtual clock at its start
 }
 
@@ -90,7 +92,7 @@ func open(cfg Config, ft *FTConfig) (*Sim, error) {
 			sh.step()
 		}
 		sh.forceTime, sh.updateTime = 0, 0 // the measured window opens here
-		sh.rebuilds0, sh.clock0 = sh.rebuilds, sh.nowClock()
+		sh.rebuilds0, sh.views0, sh.clock0 = sh.rebuilds, sh.viewSteps, sh.nowClock()
 		s.sh, s.parts = sh, make([]part, 1)
 	} else {
 		l, err := decomp.NewLayout(cfg.Box(), cfg.RC(), cfg.P, cfg.BlocksPerProc)
@@ -235,6 +237,7 @@ func (s *Sim) Result() *Result {
 		Epot:         p0.epot,
 		Ekin:         p0.ekin,
 		Rebuilds:     p0.rebuilds - p0.rebuilds0,
+		ViewSteps:    p0.viewSteps - p0.views0,
 		ForceTime:    p0.forceTime / meas,
 		UpdateTime:   p0.updateTime / meas,
 		CommTime:     p0.commTime / meas,

@@ -40,6 +40,10 @@ type Block struct {
 	Grid *cell.Grid
 	List *cell.List
 
+	// View is List pruned to the Domain's ViewCut2 at the last list
+	// build, while the particles stood at RefPos; empty without one.
+	View cell.View
+
 	// RefPos snapshots core positions at the last list build for the
 	// rebuild criterion (component-major, like the store).
 	RefPos geom.Coords

@@ -64,6 +64,11 @@ type Domain struct {
 	// regions leave the team's clock and region count alone.
 	Team cell.Pool
 
+	// ViewCut2, when positive, has every list build also prune each
+	// block's View: the links closer than its square root at the
+	// positions the list is built on (cell.View.Prune).
+	ViewCut2 float64
+
 	// TC accumulates structural (non-message) event counts.
 	TC trace.Counters
 
@@ -247,10 +252,7 @@ func (dm *Domain) NumLinks() int {
 func (dm *Domain) MaxCoreDisp2() float64 {
 	maxd := 0.0
 	for _, b := range dm.Blocks {
-		d := b.PS.MaxDisp2(&b.RefPos, b.NCore, dm.L.Box)
-		if d > maxd {
-			maxd = d
-		}
+		maxd = max(maxd, b.PS.MaxDisp2(&b.RefPos, b.NCore, dm.L.Box))
 	}
 	return maxd
 }
@@ -259,15 +261,18 @@ func (dm *Domain) MaxCoreDisp2() float64 {
 // core particle has moved less than skin since the last rebuild. All
 // ranks receive the same answer.
 func (dm *Domain) ListsValid(skin float64) bool {
-	return dm.DisplacementValid(dm.MaxCoreDisp2(), skin)
+	valid, _ := dm.DisplacementValid(dm.MaxCoreDisp2(), skin)
+	return valid
 }
 
 // DisplacementValid is ListsValid for a caller that already holds the
 // rank-local maximum squared displacement (the step loop's particle
-// sweep measures it on the way): only the collective remains.
-func (dm *Domain) DisplacementValid(localMax2, skin float64) bool {
-	global := dm.C.AllreduceScalar(localMax2, mp.Max)
-	return global < skin*skin
+// sweep measures it on the way): only the collective remains. It also
+// returns the reduced maximum, the same on every rank, NaN if any
+// rank's is: a NaN displacement invalidates the lists.
+func (dm *Domain) DisplacementValid(localMax2, skin float64) (valid bool, global float64) {
+	global = dm.C.AllreduceScalar(localMax2, mp.Max)
+	return global < skin*skin, global
 }
 
 // Rebuild performs the full list-invalidation sequence of Section 6:
@@ -338,6 +343,9 @@ func (dm *Domain) buildLists() {
 		}
 		for k := 0; k < dm.L.D; k++ {
 			b.RefPos[k] = append(b.RefPos[k][:0], b.PS.Pos[k][:b.NCore]...)
+		}
+		if dm.ViewCut2 > 0 {
+			b.View.Prune(b.List, &b.PS.Pos, dm.plainBox, dm.ViewCut2)
 		}
 	}
 }

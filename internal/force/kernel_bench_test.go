@@ -33,20 +33,37 @@ func kernelSystem(tb testing.TB, d, n int) (*particle.Store, *cell.List, geom.Bo
 	return ps, g.BuildLinks(&ps.Pos, n, n, rc*rc, box, nil), box, sp
 }
 
+// viewCut2 is the squared distance the engine prunes kernelSystem's
+// list at: Diameter + 2s with s a quarter of the skin (rc - Diameter)/2,
+// and its rounding margin (core's Config.viewCut2).
+func viewCut2(sp Spring) float64 {
+	s := (1.5*sp.Diameter - sp.Diameter) / 2 / 4
+	cut := sp.Diameter + 2*s + s/(1<<20)
+	return cut * cut
+}
+
 // BenchmarkPairKernel3D runs the batched 3-D kernel and the one-pass
-// loop it replaced over the same list, into a lock-free sink, and
-// reports ns/link. CI holds Batched to 0.8x OnePass and 0 allocs/op, and
-// the link build to 4x OnePass (bench-and-alloc-gate).
+// loop it replaced over the same list, into a lock-free sink, the
+// batched kernel over the list's contact-range view (Pruned), and the
+// prune pass that writes the view (Prune); every row reports ns per
+// link of the list. CI holds Batched to 0.8x OnePass, Pruned to 0.75x
+// Batched, Prune to 1.0x Batched, all at 0 allocs/op, and the link
+// build to 4x OnePass (bench-and-alloc-gate).
 func BenchmarkPairKernel3D(b *testing.B) {
 	ps, list, box, sp := kernelSystem(b, 3, 50_000)
 	dst := &Sink{Frc: &ps.Frc}
 	n := ps.Len()
+	cut2 := viewCut2(sp)
+	var view cell.View
+	view.Prune(list, &ps.Pos, box, cut2)
 	for _, k := range []struct {
 		name string
 		run  func() int64
 	}{
 		{"OnePass", func() int64 { _, c, _ := sp.onePass3(dst, ps, list.Links, n, box, 0, 1); return c }},
 		{"Batched", func() int64 { _, c := sp.accumulate3(dst, ps, list.Links, n, box, 0, 1); return c }},
+		{"Pruned", func() int64 { _, c := sp.accumulate3(dst, ps, view.Links, n, box, 0, 1); return c }},
+		{"Prune", func() int64 { view.Prune(list, &ps.Pos, box, cut2); return 0 }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			var contacts int64
@@ -59,6 +76,7 @@ func BenchmarkPairKernel3D(b *testing.B) {
 			links := float64(b.N * len(list.Links))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/links, "ns/link")
 			b.ReportMetric(float64(contacts)/links, "contacts/link")
+			b.ReportMetric(float64(len(view.Links))/float64(len(list.Links)), "view/list")
 		})
 	}
 }

@@ -129,11 +129,21 @@ func unlock(l *int32) { atomic.StoreInt32(l, 0) }
 // updaters of internal/shm run too: AccumulateRange with the store's
 // own force array as a lock-free sink.
 func (s Spring) Accumulate(ps *particle.Store, links []cell.Link, nCore int, box geom.Box, energyScale float64, tc *trace.Counters) float64 {
-	epot, contacts := s.AccumulateRange(&Sink{Frc: &ps.Frc}, ps, links, nCore, box, 0, energyScale)
+	return s.AccumulateView(ps, links, len(links), nCore, box, energyScale, tc)
+}
+
+// AccumulateView is Accumulate for a caller that walks walk, the image
+// in a contact-range view (cell.View) of a range of skin links: the
+// same contacts in the same order, so the same forces and epot. The
+// counters still count the skin range — the virtual clock prices the
+// list the paper's code walks — and LinksTested counts walk.
+func (s Spring) AccumulateView(ps *particle.Store, walk []cell.Link, skin, nCore int, box geom.Box, energyScale float64, tc *trace.Counters) float64 {
+	epot, contacts := s.AccumulateRange(&Sink{Frc: &ps.Frc}, ps, walk, nCore, box, 0, energyScale)
 	if tc != nil {
-		n := int64(len(links))
+		n := int64(skin)
 		tc.ForceEvals += n
 		tc.LinkVisits += n
+		tc.LinksTested += int64(len(walk))
 		tc.Contacts += contacts
 		tc.ForceUpdates += 2 * n
 	}

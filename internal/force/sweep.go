@@ -16,7 +16,9 @@ import (
 // ascending particle order from zero exactly as KineticEnergy sums,
 // and the largest squared displacement, measured exactly as
 // particle.Store.MaxDisp2 measures it (minimum image in a periodic
-// box). A nil ref skips the displacement and returns zero for it.
+// box), NaN if any particle's is NaN: the builtin max carries it, so a
+// blown-up particle invalidates the lists instead of passing for one
+// at rest. A nil ref skips the displacement and returns zero for it.
 //
 // The three passes it replaces each streamed 3·D arrays that do not
 // fit in cache; per particle the sweep does the same arithmetic on the
@@ -132,9 +134,7 @@ func sweep3(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, f *fol
 		} else if dz < -h2 {
 			dz += l2
 		}
-		if d2 := dx*dx + dy*dy + dz*dz; d2 > maxd {
-			maxd = d2
-		}
+		maxd = max(maxd, dx*dx+dy*dy+dz*dz)
 	}
 	return ekin, maxd
 }
@@ -177,9 +177,7 @@ func sweep2(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, f *fol
 		} else if dy < -h1 {
 			dy += l1
 		}
-		if d2 := dx*dx + dy*dy; d2 > maxd {
-			maxd = d2
-		}
+		maxd = max(maxd, dx*dx+dy*dy)
 	}
 	return ekin, maxd
 }
@@ -208,9 +206,7 @@ func sweepN(ps *particle.Store, ref *geom.Coords, lo, hi int, dt float64, f *fol
 			d2 += dx * dx
 		}
 		ekin += 0.5 * vv
-		if d2 > maxd {
-			maxd = d2
-		}
+		maxd = max(maxd, d2)
 	}
 	return ekin, maxd
 }

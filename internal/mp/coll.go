@@ -90,17 +90,13 @@ func combineInto(st *collState, op Op, size, n int) {
 			for k := range out {
 				out[k] += pv[k]
 			}
-		case Max:
+		case Max: // the builtins carry a NaN from any rank
 			for k := range out {
-				if pv[k] > out[k] {
-					out[k] = pv[k]
-				}
+				out[k] = max(out[k], pv[k])
 			}
 		case Min:
 			for k := range out {
-				if pv[k] < out[k] {
-					out[k] = pv[k]
-				}
+				out[k] = min(out[k], pv[k])
 			}
 		}
 	}

@@ -198,9 +198,7 @@ func (s *Store) MaxDisp2(ref *geom.Coords, n int, box geom.Box) float64 {
 			}
 			d += dx * dx
 		}
-		if d > maxd {
-			maxd = d
-		}
+		maxd = max(maxd, d)
 	}
 	return maxd
 }

@@ -264,7 +264,7 @@ func (fu *FusedUpdater) RunThread(th *Thread) {
 			continue
 		}
 		sink := force.Sink{Frc: &p.PS.Frc, Shared: fu.masks[pi], Locks: fu.locks[pi], Hook: fu.hook}
-		if tl.run(th, gate, fu.sp, &sink, p.PS, p.Links, lo, hi, p.NCoreLinks, p.NCore, fu.box) {
+		if tl.run(th, gate, fu.sp, &sink, p.PS, p.Links, nil, lo, hi, p.NCoreLinks, p.NCore, fu.box) {
 			gate = nil
 		}
 	}

@@ -36,13 +36,18 @@ func diffSystem(seed int64, n, halo, d int, bc geom.Boundary) (*particle.Store, 
 	box := geom.NewBox(d, 1.0, bc)
 	ps := particle.New(d, n+halo)
 	particle.FillUniformVel(ps, n+halo, box, 0.3, 0, rand.New(rand.NewSource(seed)))
-	rc := 0.13
-	if d == 3 {
-		rc = 0.2
-	}
+	rc := diffRC(d)
 	g := cell.NewGrid(d, geom.Vec{}, box.Len, rc, bc == geom.Periodic)
 	g.Bin(&ps.Pos, n+halo, nil)
 	return ps, g.BuildLinks(&ps.Pos, n+halo, n, rc*rc, box, nil), box
+}
+
+// diffRC is diffSystem's cut-off in d dimensions.
+func diffRC(d int) float64 {
+	if d == 3 {
+		return 0.2
+	}
+	return 0.13
 }
 
 // regionOutcome is everything one force region leaves behind.
@@ -163,7 +168,7 @@ func TestUpdaterSpecialisedEqualsGeneric(t *testing.T) {
 										return outcomeOf(tm, nil, e, work)
 									}
 									gate := NewHaloGate()
-									u.AccumulateStart(tm, sc.sp, work, list.Links, list.NCore, n, box, gate)
+									u.AccumulateStart(tm, sc.sp, work, list.Links, nil, list.NCore, n, box, gate)
 									gate.Open(3e-4)
 									e := u.AccumulateFinish(tm, 2e-4)
 									return outcomeOf(tm, gate, e, work)

@@ -24,9 +24,7 @@ type sweepPartial struct {
 // add folds one range's result into the partial.
 func (p *sweepPartial) add(ekin, maxDisp2 float64) {
 	p.ekin += ekin
-	if maxDisp2 > p.maxDisp2 {
-		p.maxDisp2 = maxDisp2
-	}
+	p.maxDisp2 = max(p.maxDisp2, maxDisp2) // the builtin carries a NaN
 }
 
 // sweepResult reduces the thread partials of the region just joined.

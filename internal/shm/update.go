@@ -227,28 +227,35 @@ func (c *updateCounts) count(links []cell.Link, nCore int, mask []bool) {
 // in one force region.
 type tally struct {
 	epot                   float64
-	links                  int64
+	links                  int64 // skin links, what the virtual clock prices
+	tested                 int64 // links the kernel walked: the view's image of links
 	contacts, contactsHalo int64
 	effLinks               float64 // core links + HaloWork * halo links
 }
 
-// run walks links[lo:hi] of one list through the pair kernel: the core
-// links at full energy, then — once gate, if any, has opened — the
-// halo links at half, both into the one running energy sum. It reports
-// whether it waited on the gate. Core links touch only core particles
-// and the exchange writes only halo storage, so nothing before the
-// wait reads what the exchange is still writing.
-func (tl *tally) run(th *Thread, gate *HaloGate, sp force.Spring, dst *force.Sink, ps *particle.Store, links []cell.Link, lo, hi, nCoreLinks, nCore int, box geom.Box) (waited bool) {
+// run walks links[lo:hi] of one list through the pair kernel — or,
+// with a view, that range's image in it — the core links at full
+// energy, then, once gate, if any, has opened, the halo links at half,
+// both into the one running energy sum. It reports whether it waited
+// on the gate. Core links touch only core particles and the exchange
+// writes only halo storage, so nothing before the wait reads what the
+// exchange is still writing. The gate and the counts go by the skin
+// range, so a view changes neither the wait nor the clock.
+func (tl *tally) run(th *Thread, gate *HaloGate, sp force.Spring, dst *force.Sink, ps *particle.Store, links []cell.Link, view *cell.View, lo, hi, nCoreLinks, nCore int, box geom.Box) (waited bool) {
 	mid := min(max(nCoreLinks, lo), hi)
 	var c int64
-	tl.epot, c = sp.AccumulateRange(dst, ps, links[lo:mid], nCore, box, tl.epot, 1)
+	walk := view.Walk(links, lo, mid)
+	tl.epot, c = sp.AccumulateRange(dst, ps, walk, nCore, box, tl.epot, 1)
 	tl.contacts += c
+	tl.tested += int64(len(walk))
 	if gate != nil && (mid < hi || lo >= nCoreLinks) {
 		gate.Wait(th)
 		waited = true
 	}
-	tl.epot, c = sp.AccumulateRange(dst, ps, links[mid:hi], nCore, box, tl.epot, 0.5)
+	walk = view.Walk(links, mid, hi)
+	tl.epot, c = sp.AccumulateRange(dst, ps, walk, nCore, box, tl.epot, 0.5)
 	tl.contactsHalo += c
+	tl.tested += int64(len(walk))
 	tl.links += int64(hi - lo)
 	tl.effLinks += float64(mid-lo) + float64(hi-mid)*th.team.Costs.haloWork()
 	return waited
@@ -260,6 +267,7 @@ func (tl *tally) book(th *Thread) (contactCost float64) {
 	costs := &th.team.Costs
 	th.TC.ForceEvals += tl.links
 	th.TC.LinkVisits += tl.links
+	th.TC.LinksTested += tl.tested
 	th.TC.Contacts += tl.contacts + tl.contactsHalo
 	return (float64(tl.contacts) + float64(tl.contactsHalo)*costs.haloWork()) * costs.PerContact
 }
@@ -386,6 +394,7 @@ type accArgs struct {
 	sp         force.Spring
 	ps         *particle.Store
 	links      []cell.Link
+	view       *cell.View // walked in place of links when non-nil
 	nCoreLinks int
 	nCore      int
 	box        geom.Box
@@ -412,7 +421,17 @@ type accArgs struct {
 // over threads and invalidate the table, which is why Accumulate
 // panics when the team size or link count differs from Prepare's.
 func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box) float64 {
-	u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, nil)
+	return u.AccumulateView(tm, sp, ps, links, nil, nCoreLinks, nCore, box)
+}
+
+// AccumulateView is Accumulate walking, in place of links, their
+// contact-range view when view is non-nil and no pair hook is set: each
+// thread walks the image of its static chunk, split at the image of
+// the core/halo boundary, so every thread meets the same contacts in
+// the same order and the conflict table, the lock mask and the per-call
+// energy association stand. The virtual clock still counts links.
+func (u *Updater) AccumulateView(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, view *cell.View, nCoreLinks, nCore int, box geom.Box) float64 {
+	u.setupRegion(tm, sp, ps, links, view, nCoreLinks, nCore, box, nil)
 	tm.RunRegion(u)
 	return sumEpot(u.epotPer)
 }
@@ -422,9 +441,10 @@ func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, link
 // is free to drain its split-phase halo exchange while threads 1..T-1
 // chew through the core links. Threads reaching the core/halo boundary
 // block on gate until the caller opens it; the caller then completes
-// the region with AccumulateFinish.
-func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
-	u.setupRegion(tm, sp, ps, links, nCoreLinks, nCore, box, gate)
+// the region with AccumulateFinish. A non-nil view is walked as
+// AccumulateView walks it.
+func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, view *cell.View, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
+	u.setupRegion(tm, sp, ps, links, view, nCoreLinks, nCore, box, gate)
 	tm.StartRegion(u)
 }
 
@@ -437,20 +457,25 @@ func (u *Updater) AccumulateFinish(tm *Team, masterAt float64) float64 {
 }
 
 // setupRegion validates the call against Prepare and stores the
-// region inputs.
-func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
+// region inputs. A hook sees every pair, so it drops the view.
+func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, view *cell.View, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
 	if tm.T != u.preparedT || len(links) != u.preparedLinks {
 		panic(fmt.Sprintf("shm: updater prepared for T=%d over %d links, run with T=%d over %d links",
 			u.preparedT, u.preparedLinks, tm.T, len(links)))
+	}
+	hook := pairHook(u.Method)
+	if hook != nil {
+		view = nil
 	}
 	u.args = accArgs{
 		sp:         sp,
 		ps:         ps,
 		links:      links,
+		view:       view,
 		nCoreLinks: nCoreLinks,
 		nCore:      nCore,
 		box:        box,
-		sink:       force.Sink{Frc: &ps.Frc, Shared: u.mask, Locks: u.locks, Hook: pairHook(u.Method)},
+		sink:       force.Sink{Frc: &ps.Frc, Shared: u.mask, Locks: u.locks, Hook: hook},
 		gate:       gate,
 	}
 	switch u.Method {
@@ -483,7 +508,7 @@ func (u *Updater) RunThread(th *Thread) {
 		sink.Frc = &a.priv[th.ID]
 	}
 	var tl tally
-	tl.run(th, a.gate, a.sp, &sink, a.ps, a.links, lo, hi, a.nCoreLinks, a.nCore, a.box)
+	tl.run(th, a.gate, a.sp, &sink, a.ps, a.links, a.view, lo, hi, a.nCoreLinks, a.nCore, a.box)
 	u.epotPer[th.ID] = tl.epot
 	if a.priv == nil {
 		tl.bookLocked(th, u.counts[th.ID])

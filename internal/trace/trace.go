@@ -14,6 +14,7 @@ type Counters struct {
 	// Force loop.
 	ForceEvals   int64 // pairwise force evaluations (one per link visit)
 	LinkVisits   int64 // links traversed
+	LinksTested  int64 // links the host's distance pass tested: LinkVisits, less what a contact-range view left out
 	Contacts     int64 // pairs found within force range (sqrt+inverse paid)
 	ForceUpdates int64 // accumulations into the global force array (2/link)
 
@@ -58,6 +59,7 @@ type Counters struct {
 func (c *Counters) Add(other *Counters) {
 	c.ForceEvals += other.ForceEvals
 	c.LinkVisits += other.LinkVisits
+	c.LinksTested += other.LinksTested
 	c.Contacts += other.Contacts
 	c.ForceUpdates += other.ForceUpdates
 	c.PosUpdates += other.PosUpdates

@@ -131,13 +131,33 @@ func resumeFrom(t *testing.T, base core.Config, res *core.Result, iters int) *Tr
 	return tr
 }
 
+// crossesView fails the test unless the run's force passes walked the
+// contact-range view on some measured steps and the skin list on
+// others, so that cuts land in both states and resumes cross both
+// transitions: a view pruned at a rebuild, and one expired by the
+// displacement since. A bonded run and a fused one must never walk it.
+func crossesView(t *testing.T, cfg core.Config, res *core.Result) {
+	t.Helper()
+	if cfg.Spring.Bonds != nil || cfg.Fused {
+		if res.ViewSteps != 0 {
+			t.Fatalf("a bonded or fused run walked the view on %d of %d steps", res.ViewSteps, res.Iters)
+		}
+		return
+	}
+	if res.ViewSteps == 0 || res.ViewSteps == res.Iters {
+		t.Fatalf("the view served %d of %d steps: the bed does not cross both states", res.ViewSteps, res.Iters)
+	}
+}
+
 // TestCancelResumeEveryStep enumerates the resume guarantee instead of
 // sampling it: in all five modes with cache reordering on, and their
 // rebalancing, fused and lock-method variants, on a sparse 2-D bed, a
 // dense settling bed in 2-D and 3-D and a bed of damped bonded grains,
 // a run canceled after every step k in [1, 40], checkpointed through a
 // file and resumed replays the remaining steps on the bits of a run
-// that never stopped. -short keeps a few cuts.
+// that never stopped. Every unbonded, unfused run walks the
+// contact-range view on some steps and the skin list on others.
+// -short keeps a few cuts.
 func TestCancelResumeEveryStep(t *testing.T) {
 	const total, lastCut = 48, 40
 	cuts := make([]int, 0, lastCut)
@@ -169,6 +189,7 @@ func TestCancelResumeEveryStep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
+				crossesView(t, base, ref.Res)
 				for _, k := range cuts {
 					part1, res := captureUntilCanceled(t, base, total, k)
 					part2 := resumeFrom(t, base, res, total-k)

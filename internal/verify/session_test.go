@@ -26,7 +26,9 @@ func probeInto(cfg *core.Config) *Trajectory {
 // the same session advanced in one piece, bit for bit and step by step,
 // in all five modes with cache reordering on and their variants, on the
 // dense settling bed in 2-D and 3-D: a durable boundary gathers the
-// state and writes it down, and changes nothing about the run.
+// state and writes it down, and changes nothing about the run. Every
+// unfused run walks the contact-range view on some steps and the skin
+// list on others.
 func TestChunkedEqualsUnbroken(t *testing.T) {
 	const total = 28
 	for _, d := range []int{2, 3} {
@@ -58,6 +60,7 @@ func TestChunkedEqualsUnbroken(t *testing.T) {
 					if want := (total + max(every, 1) - 1) / max(every, 1); every > 0 && saves != want {
 						t.Fatalf("every %d: %d saves, want %d", every, saves, want)
 					}
+					crossesView(t, cfg, sim.Result())
 					return tr
 				}
 				unbroken := run(0)
