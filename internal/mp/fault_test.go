@@ -198,11 +198,13 @@ func TestKillFiresOnce(t *testing.T) {
 }
 
 // TestWatchdogRecvTimeout: a Recv whose sender has exited must surface
-// a typed Timeout within the deadline order of magnitude, not hang.
+// a typed Timeout within the deadline order of magnitude, not hang, and
+// name the step the receiver was in.
 func TestWatchdogRecvTimeout(t *testing.T) {
-	const wd = 50 * time.Millisecond
+	const wd, step = 50 * time.Millisecond, 7
 	start := time.Now()
 	_, err := RunOpts(2, RunOptions{Watchdog: wd}, func(c *Comm) {
+		c.FaultPoint(step)
 		if c.Rank() == 0 {
 			f, ids := c.Recv(1, 3) // never sent
 			c.FreeBuffers(f, ids)
@@ -215,6 +217,9 @@ func TestWatchdogRecvTimeout(t *testing.T) {
 	}
 	if fe.Rank != 0 {
 		t.Errorf("timeout reported at rank %d, want the blocked receiver", fe.Rank)
+	}
+	if fe.Step != step {
+		t.Errorf("timeout reported at step %d, want %d", fe.Step, step)
 	}
 	if elapsed > 20*wd {
 		t.Errorf("timeout took %v with a %v deadline", elapsed, wd)

@@ -57,8 +57,9 @@ func (m *mailbox) put(p packet) {
 // because puts from one sender are ordered by the channel of calls.
 // With a watchdog armed, a take blocked past the deadline panics with
 // a typed Timeout fault (the run's ticker wakes it periodically); a
-// peer's death panics with Abandoned.
-func (m *mailbox) take(src, tag int) packet {
+// peer's death panics with Abandoned. Both carry step, the receiving
+// rank's last FaultPoint step.
+func (m *mailbox) take(src, tag, step int) packet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var start time.Time
@@ -70,14 +71,14 @@ func (m *mailbox) take(src, tag int) packet {
 			}
 		}
 		if m.aborted {
-			panic(&fault.Error{Kind: fault.Abandoned, Rank: m.rank, Step: -1, Op: "recv",
+			panic(&fault.Error{Kind: fault.Abandoned, Rank: m.rank, Step: step, Op: "recv",
 				Detail: "receive abandoned by a panicked rank"})
 		}
 		if m.wd > 0 {
 			if start.IsZero() {
 				start = time.Now()
 			} else if time.Since(start) > m.wd {
-				panic(&fault.Error{Kind: fault.Timeout, Rank: m.rank, Step: -1, Op: "recv",
+				panic(&fault.Error{Kind: fault.Timeout, Rank: m.rank, Step: step, Op: "recv",
 					Detail: fmt.Sprintf("no message from rank %d tag %d within %v", src, tag, m.wd)})
 			}
 		}
@@ -583,7 +584,7 @@ func (c *Comm) Recv(src, tag int) ([]float64, []int32) {
 		panic(fmt.Sprintf("mp: recv from invalid rank %d of %d", src, c.size))
 	}
 	for {
-		p := c.w.boxes[c.rank].take(src, tag)
+		p := c.w.boxes[c.rank].take(src, tag, c.step)
 		if c.w.integrity {
 			key := seqKey(src, tag)
 			want := c.recvSeq[key]
