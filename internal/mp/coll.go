@@ -7,7 +7,7 @@ import (
 	"hybriddem/internal/fault"
 )
 
-// Op selects the combining operation of an Allreduce.
+// Op selects the combining operation of an allreduce.
 type Op int
 
 const (
@@ -16,85 +16,97 @@ const (
 	Min
 )
 
-// collState is one generation of a rendezvous collective. Generations
-// are kept in a map so a fast rank may enter generation g+1 while slow
-// ranks are still reading generation g's result. States are recycled
-// through world.freeColl once every rank has read the result, so the
-// steady-state collective allocates nothing.
-type collState struct {
-	arrived int
-	readers int
-	clock   float64     // max participant clock
-	per     [][]float64 // per-rank contributions (deterministic order)
-	result  []float64   // reused combine buffer
-	done    bool
+// rendezvous is the one synchronisation protocol behind Barrier,
+// AllreduceInPlace, IAllreduceInPlace/Wait and Win.Fence. A member
+// claims its next generation, deposits its vector (nil for a barrier or
+// a fence) and raises the generation's clock to its own; the last
+// arriver combines the deposits in member order and wakes the rest;
+// each member leaves at max(own clock, generation clock + cost), and
+// the last to leave recycles the generation with its result buffer, so
+// the steady state allocates nothing.
+//
+// Generations are keyed, so a fast member may enter g+1 while slow
+// ones still read g, and each member counts its own, so a rank may post
+// a split-phase allreduce and enter further collectives before waiting
+// on it. Every member must enter the same sequence (the usual MPI
+// contract). The world holds one rendezvous over all ranks for the
+// collectives and every shared window one over its node group for the
+// fences. All are guarded by world.collMu and wait on world.collCond,
+// so the watchdog ticker and the any-panic abort reach every waiter.
+type rendezvous struct {
+	size int                 // members
+	seq  []int               // each member's next generation
+	live map[int]*generation // generations some member has yet to leave
+	free []*generation
 }
 
-// collAt returns (creating or recycling on demand) the state for
-// generation g.
-func (w *world) collAt(g int) *collState {
-	if w.colls == nil {
-		w.colls = make(map[int]*collState)
-	}
-	st, ok := w.colls[g]
+// generation is one round of a rendezvous.
+type generation struct {
+	arrived, readers int
+	clock            float64     // max member clock at arrival
+	per              [][]float64 // per-member deposits
+	result           []float64   // reused combine buffer
+	done             bool
+}
+
+func newRendezvous(size int) *rendezvous {
+	return &rendezvous{size: size, seq: make([]int, size), live: make(map[int]*generation)}
+}
+
+// arrive claims member's next generation of rv, deposits v and raises
+// the generation's clock to c's; the last arriver combines the deposits
+// with op and wakes the waiters. Must be called under collMu.
+func (c *Comm) arrive(rv *rendezvous, member int, v []float64, op Op) (int, *generation) {
+	gen := rv.seq[member]
+	rv.seq[member]++
+	st, ok := rv.live[gen]
 	if !ok {
-		if k := len(w.freeColl); k > 0 {
-			st = w.freeColl[k-1]
-			w.freeColl[k-1] = nil
-			w.freeColl = w.freeColl[:k-1]
+		if k := len(rv.free) - 1; k >= 0 {
+			st, rv.free = rv.free[k], rv.free[:k]
 		} else {
-			st = &collState{per: make([][]float64, w.size)}
+			st = &generation{per: make([][]float64, rv.size)}
 		}
-		w.colls[g] = st
+		rv.live[gen] = st
 	}
-	return st
+	st.per[member] = v
+	if c.clock > st.clock {
+		st.clock = c.clock
+	}
+	st.arrived++
+	if st.arrived == rv.size {
+		st.combine(op, len(v))
+		st.done = true
+		c.w.collCond.Broadcast()
+	}
+	return gen, st
 }
 
-// recycleColl resets a fully read state and returns it to the
-// freelist. Contribution pointers are dropped so caller buffers are
-// not retained; the result buffer is kept for reuse. Must be called
-// under collMu.
-func (w *world) recycleColl(gen int, st *collState) {
-	delete(w.colls, gen)
-	st.arrived = 0
-	st.readers = 0
-	st.clock = 0
-	st.done = false
-	for i := range st.per {
-		st.per[i] = nil
-	}
-	w.freeColl = append(w.freeColl, st)
-}
-
-// combineInto reduces the size deposited slices of st.per element-wise
-// with op into st.result (resized to n). Summation runs in rank order
-// so the floating-point result is deterministic.
-func combineInto(st *collState, op Op, size, n int) {
+// combine reduces the deposits element-wise with op into st.result,
+// resized to n. Summation runs in member order so the floating-point
+// result is deterministic; the builtin max and min carry a NaN from any
+// member. Barriers and fences deposit nothing and combine nothing.
+func (st *generation) combine(op Op, n int) {
 	if cap(st.result) < n {
 		st.result = make([]float64, n)
 	}
-	st.result = st.result[:n]
-	out := st.result
-	first := st.per[0]
-	if len(first) != n {
-		panic(fmt.Sprintf("mp: allreduce length mismatch: rank 0 has %d, combiner has %d", len(first), n))
-	}
-	copy(out, first)
-	for r := 1; r < size; r++ {
-		pv := st.per[r]
+	out := st.result[:n]
+	st.result = out
+	for r, pv := range st.per {
 		if len(pv) != n {
-			panic(fmt.Sprintf("mp: allreduce length mismatch: rank 0 has %d, rank %d has %d", n, r, len(pv)))
+			panic(fmt.Sprintf("mp: allreduce length mismatch: rank %d has %d, the last to arrive has %d", r, len(pv), n))
 		}
-		switch op {
-		case Sum:
+		switch {
+		case r == 0:
+			copy(out, pv)
+		case op == Sum:
 			for k := range out {
 				out[k] += pv[k]
 			}
-		case Max: // the builtins carry a NaN from any rank
+		case op == Max:
 			for k := range out {
 				out[k] = max(out[k], pv[k])
 			}
-		case Min:
+		case op == Min:
 			for k := range out {
 				out[k] = min(out[k], pv[k])
 			}
@@ -102,151 +114,84 @@ func combineInto(st *collState, op Op, size, n int) {
 	}
 }
 
-// collWait blocks (under collMu) until st completes. A panicked peer
+// leave waits for generation gen of rv to complete, copies the combined
+// result into v and advances c's clock to the generation's clock plus
+// cost unless compute since arrival already took it further; the last
+// member to leave recycles the generation, dropping the deposits so
+// caller buffers are not retained. Must be called under collMu.
+func (c *Comm) leave(rv *rendezvous, gen int, st *generation, v []float64, cost float64, label string) {
+	c.await(st, label)
+	if len(st.result) != len(v) {
+		panic(fmt.Sprintf("mp: allreduce length mismatch: combined %d, rank %d has %d", len(st.result), c.rank, len(v)))
+	}
+	copy(v, st.result)
+	if t := st.clock + cost; t > c.clock {
+		c.clock = t
+	}
+	st.readers++
+	if st.readers == rv.size {
+		delete(rv.live, gen)
+		st.arrived, st.readers, st.clock, st.done = 0, 0, 0, false
+		clear(st.per)
+		rv.free = append(rv.free, st)
+	}
+}
+
+// await blocks (under collMu) until st completes. A panicked peer
 // surfaces as a typed Abandoned fault; with a watchdog armed, a wait
 // blocked past the deadline surfaces as a typed Timeout fault (the
 // run's ticker broadcasts collCond periodically so the deadline is
-// actually checked). Callers hold collMu via defer Unlock, so the
+// actually checked). Both name label as the operation and the rank's
+// last FaultPoint step. Callers hold collMu via defer Unlock, so the
 // panic releases the lock.
-func (c *Comm) collWait(st *collState, op string) {
+func (c *Comm) await(st *generation, label string) {
 	w := c.w
 	var start time.Time
 	for !st.done {
 		if w.anyPanic {
-			panic(&fault.Error{Kind: fault.Abandoned, Rank: c.rank, Step: c.step, Op: op,
-				Detail: op + " abandoned by a panicked rank"})
+			panic(&fault.Error{Kind: fault.Abandoned, Rank: c.rank, Step: c.step, Op: label,
+				Detail: label + " abandoned by a panicked rank"})
 		}
 		if w.wd > 0 {
 			if start.IsZero() {
 				start = time.Now()
 			} else if time.Since(start) > w.wd {
-				panic(&fault.Error{Kind: fault.Timeout, Rank: c.rank, Step: c.step, Op: op,
-					Detail: fmt.Sprintf("%s not completed within %v", op, w.wd)})
+				panic(&fault.Error{Kind: fault.Timeout, Rank: c.rank, Step: c.step, Op: label,
+					Detail: fmt.Sprintf("%s not completed within %v", label, w.wd)})
 			}
 		}
 		w.collCond.Wait()
 	}
 }
 
-// nextColl claims this rank's next collective generation. Every rank
-// must enter collectives in the same order (the usual MPI contract),
-// so per-rank counters agree on which generation each entry belongs
-// to. Counting per rank rather than globally lets a rank post a
-// split-phase collective (IAllreduceInPlace) and enter further
-// collectives before waiting on it. Must be called under collMu.
-func (c *Comm) nextColl() int {
-	g := c.collSeq
-	c.collSeq++
-	return g
-}
-
-// rendezvous runs one collective: every rank deposits contrib (may be
-// nil), the last arriver combines all contributions in rank order with
-// combine (receiving the per-rank slice), and every rank leaves with a
-// private copy of the result and a clock equal to the max participant
-// clock plus cost(size, resultBytes). The copy is taken inside the
-// critical section because the state (and any reused result buffer) is
-// recycled as soon as the last rank has read it.
-func (c *Comm) rendezvous(contrib []float64, combine func(per [][]float64) []float64, costBytes int) []float64 {
+// meet is the blocking form: arrive and leave under one hold of
+// collMu. The member's clock cannot move between the two, so it leaves
+// at exactly the generation's clock plus cost.
+func (c *Comm) meet(rv *rendezvous, member int, v []float64, op Op, cost float64, label string) {
 	w := c.w
 	w.collMu.Lock()
 	defer w.collMu.Unlock()
-
-	gen := c.nextColl()
-	st := w.collAt(gen)
-	st.per[c.rank] = contrib
-	if c.clock > st.clock {
-		st.clock = c.clock
-	}
-	st.arrived++
-	if st.arrived == w.size {
-		st.result = combine(st.per)
-		st.done = true
-		w.collCond.Broadcast()
-	} else {
-		c.collWait(st, "collective")
-	}
-	res := append([]float64(nil), st.result...)
-	c.clock = st.clock + w.net.CollectiveCost(w.size, costBytes)
-	st.readers++
-	if st.readers == w.size {
-		w.recycleColl(gen, st)
-	}
-	c.TC.Collectives++
-	return res
+	gen, st := c.arrive(rv, member, v, op)
+	c.leave(rv, gen, st, v, cost, label)
 }
 
 // Barrier blocks until every rank has entered, then releases all with
 // equalised clocks plus the network's barrier cost.
 func (c *Comm) Barrier() {
-	w := c.w
-	w.collMu.Lock()
-	defer w.collMu.Unlock()
-	gen := c.nextColl()
-	st := w.collAt(gen)
-	if c.clock > st.clock {
-		st.clock = c.clock
-	}
-	st.arrived++
-	if st.arrived == w.size {
-		st.done = true
-		w.collCond.Broadcast()
-	} else {
-		c.collWait(st, "barrier")
-	}
-	c.clock = st.clock + w.net.BarrierCost(w.size)
-	st.readers++
-	if st.readers == w.size {
-		w.recycleColl(gen, st)
-	}
+	c.meet(c.w.coll, c.rank, nil, Sum, c.w.net.BarrierCost(c.size), "barrier")
 	c.TC.Barriers++
 }
 
 // AllreduceInPlace combines each rank's vector element-wise with op,
 // leaving the identical result in v on every rank. Summation runs in
-// rank order so the floating-point result is deterministic. This is
-// the allocation-free form used on the step path; every rank must pass
-// the same length.
+// rank order so the floating-point result is deterministic. It
+// allocates nothing; every rank must pass the same length.
 func (c *Comm) AllreduceInPlace(v []float64, op Op) {
-	w := c.w
-	w.collMu.Lock()
-	defer w.collMu.Unlock()
-
-	gen := c.nextColl()
-	st := w.collAt(gen)
-	st.per[c.rank] = v
-	if c.clock > st.clock {
-		st.clock = c.clock
-	}
-	st.arrived++
-	if st.arrived == w.size {
-		combineInto(st, op, w.size, len(v))
-		st.done = true
-		w.collCond.Broadcast()
-	} else {
-		c.collWait(st, "collective")
-	}
-	if len(st.result) != len(v) {
-		panic(fmt.Sprintf("mp: allreduce length mismatch: combined %d, rank %d has %d", len(st.result), c.rank, len(v)))
-	}
-	copy(v, st.result)
-	c.clock = st.clock + w.net.CollectiveCost(w.size, 8*len(v))
-	st.readers++
-	if st.readers == w.size {
-		w.recycleColl(gen, st)
-	}
+	c.meet(c.w.coll, c.rank, v, op, c.w.net.CollectiveCost(c.size, 8*len(v)), "collective")
 	c.TC.Collectives++
 }
 
-// Allreduce combines each rank's vector element-wise with op and
-// returns the identical result on every rank as a fresh slice.
-func (c *Comm) Allreduce(v []float64, op Op) []float64 {
-	out := append([]float64(nil), v...)
-	c.AllreduceInPlace(out, op)
-	return out
-}
-
-// AllreduceScalar is Allreduce for a single value; it reuses a
+// AllreduceScalar is AllreduceInPlace for a single value; it reuses a
 // Comm-owned one-element scratch so the per-step validity vote costs
 // no allocation.
 func (c *Comm) AllreduceScalar(x float64, op Op) float64 {
@@ -259,11 +204,10 @@ func (c *Comm) AllreduceScalar(x float64, op Op) float64 {
 // Complete it with Wait; the handle is recycled by Wait and must not
 // be touched afterwards.
 type CollRequest struct {
-	c     *Comm
-	st    *collState
-	gen   int
-	v     []float64
-	bytes int
+	c   *Comm
+	st  *generation
+	gen int
+	v   []float64
 }
 
 // IAllreduceInPlace posts the allocation-free allreduce without
@@ -278,22 +222,11 @@ type CollRequest struct {
 // end-of-step energy reduction with the rebuild vote.
 func (c *Comm) IAllreduceInPlace(v []float64, op Op) *CollRequest {
 	w := c.w
-	w.collMu.Lock()
-	gen := c.nextColl()
-	st := w.collAt(gen)
-	st.per[c.rank] = v
-	if c.clock > st.clock {
-		st.clock = c.clock
-	}
-	st.arrived++
-	if st.arrived == w.size {
-		combineInto(st, op, w.size, len(v))
-		st.done = true
-		w.collCond.Broadcast()
-	}
-	w.collMu.Unlock()
 	r := w.getCollReq()
-	r.c, r.st, r.gen, r.v, r.bytes = c, st, gen, v, 8*len(v)
+	r.c, r.v = c, v
+	w.collMu.Lock()
+	defer w.collMu.Unlock()
+	r.gen, r.st = c.arrive(w.coll, c.rank, v, op)
 	return r
 }
 
@@ -302,59 +235,16 @@ func (c *Comm) IAllreduceInPlace(v []float64, op Op) *CollRequest {
 // CollRequest is single-use: the handle returns to the world's pool
 // inside Wait, so the caller must drop it immediately after.
 func (r *CollRequest) Wait() {
-	c, st, gen, v := r.c, r.st, r.gen, r.v
+	c := r.c
 	w := c.w
 	func() {
 		w.collMu.Lock()
 		defer w.collMu.Unlock()
-		c.collWait(st, "collective")
-		if len(st.result) != len(v) {
-			panic(fmt.Sprintf("mp: allreduce length mismatch: combined %d, rank %d has %d", len(st.result), c.rank, len(v)))
-		}
-		copy(v, st.result)
-		if t := st.clock + w.net.CollectiveCost(w.size, r.bytes); t > c.clock {
-			c.clock = t
-		}
-		st.readers++
-		if st.readers == w.size {
-			w.recycleColl(gen, st)
-		}
+		c.leave(w.coll, r.gen, r.st, r.v, w.net.CollectiveCost(w.size, 8*len(r.v)), "collective")
 	}()
 	c.TC.Collectives++
 	*r = CollRequest{}
 	w.poolMu.Lock()
 	w.freeCollReq = append(w.freeCollReq, r)
 	w.poolMu.Unlock()
-}
-
-// Allgather concatenates every rank's contribution in rank order and
-// returns the identical result on every rank as a fresh slice.
-// Contributions may differ in length. The cost model charges one
-// collective sized as if every rank contributed this rank's share
-// (the cost argument must be known before the last rank arrives, when
-// only the local length is).
-func (c *Comm) Allgather(v []float64) []float64 {
-	contrib := append([]float64(nil), v...)
-	return c.rendezvous(contrib, func(per [][]float64) []float64 {
-		n := 0
-		for _, p := range per {
-			n += len(p)
-		}
-		out := make([]float64, 0, n)
-		for _, p := range per {
-			out = append(out, p...)
-		}
-		return out
-	}, 8*len(v)*c.w.size)
-}
-
-// Bcast distributes root's vector to every rank.
-func (c *Comm) Bcast(root int, v []float64) []float64 {
-	var contrib []float64
-	if c.rank == root {
-		contrib = append([]float64(nil), v...)
-	}
-	return c.rendezvous(contrib, func(per [][]float64) []float64 {
-		return per[root]
-	}, 8*len(v))
 }

@@ -3,29 +3,8 @@ package mp
 import (
 	"math"
 	"testing"
+	"time"
 )
-
-func TestNewCartRejectsBadDims(t *testing.T) {
-	Run(4, nil, func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched dims product accepted")
-			}
-		}()
-		NewCart(c, []int{3, 2}, []bool{true, true})
-	})
-}
-
-func TestNewCartRejectsPeriodsMismatch(t *testing.T) {
-	Run(4, nil, func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("periods length mismatch accepted")
-			}
-		}()
-		NewCart(c, []int{2, 2}, []bool{true})
-	})
-}
 
 func TestDimsCreatePanicsOnBadInput(t *testing.T) {
 	for _, in := range [][2]int{{0, 2}, {4, 0}, {-1, 1}} {
@@ -79,7 +58,8 @@ func TestSetByteScaleIgnoresNonPositive(t *testing.T) {
 
 func TestSendRecvSelf(t *testing.T) {
 	Run(1, nil, func(c *Comm) {
-		f, i := c.SendRecv(0, 9, []float64{3}, []int32{4}, 0)
+		c.Send(0, 9, []float64{3}, []int32{4})
+		f, i := c.Recv(0, 9)
 		if f[0] != 3 || i[0] != 4 {
 			t.Errorf("self sendrecv got %v %v", f, i)
 		}
@@ -102,13 +82,32 @@ func TestComputeIgnoresNegative(t *testing.T) {
 	})
 }
 
+// TestAllreduceLengthMismatchPanics: ranks passing different lengths
+// is a program bug and must panic out of Run, in the blocking and the
+// split-phase form alike, without leaving the collective mutex held
+// (which would hang the run instead).
 func TestAllreduceLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch accepted")
-		}
-	}()
-	Run(2, nil, func(c *Comm) {
-		c.Allreduce(make([]float64, c.Rank()+1), Sum)
-	})
+	for _, tc := range []struct {
+		name   string
+		reduce func(c *Comm, v []float64)
+	}{
+		{"blocking", func(c *Comm, v []float64) { c.AllreduceInPlace(v, Sum) }},
+		{"split-phase", func(c *Comm, v []float64) { c.IAllreduceInPlace(v, Sum).Wait() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			panicked := make(chan bool, 1)
+			go func() {
+				defer func() { panicked <- recover() != nil }()
+				Run(2, nil, func(c *Comm) { tc.reduce(c, make([]float64, c.Rank()+1)) })
+			}()
+			select {
+			case p := <-panicked:
+				if !p {
+					t.Error("length mismatch accepted")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("length mismatch hung the run")
+			}
+		})
+	}
 }

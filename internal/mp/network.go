@@ -1,9 +1,12 @@
 // Package mp is a message-passing runtime: the subset of MPI the
-// paper's code uses, rebuilt on goroutines and channels. Ranks execute
-// a rank function concurrently; point-to-point messages match on
-// (source, tag) with eager buffering; collectives (barrier, allreduce,
-// bcast) reduce deterministically in rank order; Cartesian topologies
-// mirror MPI_Cart_create/MPI_Cart_shift.
+// paper's code uses, rebuilt on goroutines. Ranks execute a rank
+// function concurrently; point-to-point messages match on (source,
+// tag) with eager buffering; the barrier and the allreduce (blocking or
+// split-phase) reduce deterministically in rank order; MPI-3 node-shared
+// windows let ranks on one SMP node load each other's storage between
+// fences. The barrier, the allreduce and the window fence are one
+// rendezvous (coll.go). DimsCreate mirrors MPI_Dims_create for the
+// process grid.
 //
 // Every rank carries a virtual clock. Compute phases advance it
 // explicitly; receiving a message advances it to at least the sender's

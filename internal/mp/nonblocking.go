@@ -3,7 +3,7 @@ package mp
 import "fmt"
 
 // Request is a handle on a nonblocking operation, mirroring
-// MPI_Request. Complete it with Wait (or the communicator's WaitAll).
+// MPI_Request. Complete it with Wait.
 type Request struct {
 	c    *Comm
 	done bool
@@ -67,85 +67,4 @@ func (r *Request) Wait() ([]float64, []int32) {
 	r.done = true
 	r.f, r.i = r.c.Recv(r.src, r.tag)
 	return r.f, r.i
-}
-
-// Done reports whether the request has completed.
-func (r *Request) Done() bool { return r.done }
-
-// WaitAll completes a set of requests in order and returns the
-// received payloads aligned with the input slice.
-func WaitAll(reqs []*Request) (fs [][]float64, is [][]int32) {
-	fs = make([][]float64, len(reqs))
-	is = make([][]int32, len(reqs))
-	for k, r := range reqs {
-		fs[k], is[k] = r.Wait()
-	}
-	return fs, is
-}
-
-// Gather collects every rank's vector on root, concatenated in rank
-// order; non-root ranks receive nil. Payload sizes may differ by
-// rank. The returned offsets slice (root only) gives each rank's
-// starting index.
-func (c *Comm) Gather(root int, v []float64) (all []float64, offsets []int) {
-	contrib := append([]float64(nil), v...)
-	res := c.rendezvous(contrib, func(per [][]float64) []float64 {
-		var out []float64
-		for _, pv := range per {
-			out = append(out, pv...)
-		}
-		return out
-	}, 8*len(v))
-	// Exchange per-rank lengths for the offsets; every rank must join
-	// this collective even though only root consumes the result.
-	lens := c.Allreduce(makeLenVec(c.size, c.rank, len(v)), Sum)
-	if c.rank != root {
-		return nil, nil
-	}
-	offsets = make([]int, c.size)
-	acc := 0
-	for rk := 0; rk < c.size; rk++ {
-		offsets[rk] = acc
-		acc += int(lens[rk])
-	}
-	return append([]float64(nil), res...), offsets
-}
-
-// makeLenVec builds a one-hot length vector for the offset exchange.
-func makeLenVec(size, rank, n int) []float64 {
-	v := make([]float64, size)
-	v[rank] = float64(n)
-	return v
-}
-
-// Scatter distributes equal-length chunks of root's vector: rank k
-// receives chunk[k]. Every rank must pass the same chunk length; only
-// root's data matters.
-func (c *Comm) Scatter(root int, data []float64, chunk int) []float64 {
-	var contrib []float64
-	if c.rank == root {
-		if len(data) != chunk*c.size {
-			panic(fmt.Sprintf("mp: scatter of %d elements into %d chunks of %d", len(data), c.size, chunk))
-		}
-		contrib = append([]float64(nil), data...)
-	}
-	res := c.rendezvous(contrib, func(per [][]float64) []float64 {
-		return per[root]
-	}, 8*chunk)
-	out := make([]float64, chunk)
-	copy(out, res[c.rank*chunk:(c.rank+1)*chunk])
-	return out
-}
-
-// AllGather is Gather to every rank.
-func (c *Comm) AllGather(v []float64) []float64 {
-	contrib := append([]float64(nil), v...)
-	res := c.rendezvous(contrib, func(per [][]float64) []float64 {
-		var out []float64
-		for _, pv := range per {
-			out = append(out, pv...)
-		}
-		return out
-	}, 8*len(v))
-	return append([]float64(nil), res...)
 }

@@ -2,7 +2,6 @@ package mp
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -10,9 +9,6 @@ func TestISendIRecvRoundTrip(t *testing.T) {
 	Run(2, nil, func(c *Comm) {
 		if c.Rank() == 0 {
 			req := c.ISend(1, 5, []float64{7}, []int32{9})
-			if !req.Done() {
-				t.Error("eager ISend should complete immediately")
-			}
 			f, i := req.Wait()
 			if f != nil || i != nil {
 				t.Error("send Wait returned payloads")
@@ -22,9 +18,6 @@ func TestISendIRecvRoundTrip(t *testing.T) {
 			f, i := req.Wait()
 			if f[0] != 7 || i[0] != 9 {
 				t.Errorf("IRecv got %v %v", f, i)
-			}
-			if !req.Done() {
-				t.Error("request not done after Wait")
 			}
 			// Waiting again returns the same payloads.
 			f2, _ := req.Wait()
@@ -55,20 +48,25 @@ func TestIRecvOverlapsVirtualTime(t *testing.T) {
 	})
 }
 
-func TestWaitAll(t *testing.T) {
-	Run(3, nil, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{10}, nil)
-			c.Send(2, 1, []float64{20}, nil)
-		} else {
-			reqs := []*Request{c.IRecv(0, 1)}
-			fs, _ := WaitAll(reqs)
-			want := float64(c.Rank() * 10)
-			if fs[0][0] != want {
-				t.Errorf("rank %d got %v", c.Rank(), fs[0])
+// TestIAllreduceOverlapsVirtualTime: compute between the post and the
+// Wait runs during the collective, so Wait leaves at max(own clock,
+// completion) — a short computation is hidden, a long one is not
+// charged the collective's cost on top.
+func TestIAllreduceOverlapsVirtualTime(t *testing.T) {
+	net := LatBwNetwork{CPUsPerNode: 2, IntraLat: 1.0, IntraBw: 1e9}
+	done := net.CollectiveCost(2, 8)
+	for _, work := range []float64{0.4, 2.0} {
+		comms := Run(2, net, func(c *Comm) {
+			req := c.IAllreduceInPlace([]float64{1}, Sum)
+			c.Compute(work)
+			req.Wait()
+		})
+		for _, c := range comms {
+			if want := max(work, done); c.Clock() != want {
+				t.Errorf("work %g: rank %d clock %g after Wait, want %g", work, c.Rank(), c.Clock(), want)
 			}
 		}
-	})
+	}
 }
 
 func TestIRecvInvalidRankPanics(t *testing.T) {
@@ -82,80 +80,30 @@ func TestIRecvInvalidRankPanics(t *testing.T) {
 	})
 }
 
-func TestGatherConcatenatesInRankOrder(t *testing.T) {
-	Run(3, nil, func(c *Comm) {
-		// Variable lengths: rank k contributes k+1 values of value k.
-		v := make([]float64, c.Rank()+1)
-		for i := range v {
-			v[i] = float64(c.Rank())
-		}
-		all, offsets := c.Gather(1, v)
-		if c.Rank() != 1 {
-			if all != nil || offsets != nil {
-				t.Error("non-root received gather data")
-			}
-			return
-		}
-		if !reflect.DeepEqual(all, []float64{0, 1, 1, 2, 2, 2}) {
-			t.Errorf("gathered %v", all)
-		}
-		if !reflect.DeepEqual(offsets, []int{0, 1, 3}) {
-			t.Errorf("offsets %v", offsets)
-		}
-	})
-}
-
-func TestScatterDistributesChunks(t *testing.T) {
-	Run(4, nil, func(c *Comm) {
-		var data []float64
-		if c.Rank() == 2 {
-			data = []float64{0, 0, 1, 1, 2, 2, 3, 3}
-		}
-		got := c.Scatter(2, data, 2)
-		want := []float64{float64(c.Rank()), float64(c.Rank())}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("rank %d scattered %v, want %v", c.Rank(), got, want)
-		}
-	})
-}
-
-func TestScatterSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad scatter size accepted")
-		}
-	}()
-	Run(1, nil, func(c *Comm) {
-		c.Scatter(0, []float64{1, 2, 3}, 2)
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	Run(3, nil, func(c *Comm) {
-		got := c.AllGather([]float64{float64(c.Rank() * 10)})
-		if !reflect.DeepEqual(got, []float64{0, 10, 20}) {
-			t.Errorf("rank %d allgather %v", c.Rank(), got)
-		}
-	})
-}
-
 func TestMixedCollectiveSequence(t *testing.T) {
-	// Interleave every collective type repeatedly: the generation
+	// Interleave every collective type repeatedly, with a split-phase
+	// allreduce left open across the blocking ones and a window fence
+	// on the node group's own rendezvous in between: the generation
 	// bookkeeping must pair them correctly.
 	Run(4, nil, func(c *Comm) {
+		win := NewWin(c.SplitNode(), WinCosts{})
+		posted := make([]float64, 2)
 		for i := 0; i < 10; i++ {
-			s := c.AllreduceScalar(1, Sum)
-			if s != 4 {
-				t.Fatalf("iter %d: sum %g", i, s)
-			}
-			all := c.AllGather([]float64{float64(c.Rank())})
-			if len(all) != 4 {
-				t.Fatalf("iter %d: allgather %v", i, all)
+			posted[0], posted[1] = float64(c.Rank()), float64(i)
+			req := c.IAllreduceInPlace(posted, Max)
+			if s := c.AllreduceScalar(1, Sum); s != 4 {
+				t.Errorf("iter %d: sum %g", i, s)
 			}
 			c.Barrier()
-			got := c.Scatter(i%4, []float64{9, 9, 9, 9}, 1)
-			if got[0] != 9 && c.Rank() != i%4 {
-				t.Fatalf("iter %d: scatter %v", i, got)
+			win.Fence()
+			v := []float64{float64(c.Rank()), 1}
+			c.AllreduceInPlace(v, Sum)
+			if v[0] != 6 || v[1] != 4 {
+				t.Errorf("iter %d: allreduce %v", i, v)
+			}
+			req.Wait()
+			if posted[0] != 3 || posted[1] != float64(i) {
+				t.Errorf("iter %d: posted allreduce %v", i, posted)
 			}
 		}
 	})

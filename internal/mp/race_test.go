@@ -7,6 +7,7 @@ package mp
 // hybrid driver uses.
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,44 +145,26 @@ func TestRaceConcurrentWorlds(t *testing.T) {
 			defer wg.Done()
 			Run(P, nil, func(c *Comm) {
 				base := float64((w + 1) * 100)
-				v := c.Allreduce([]float64{base + float64(c.Rank())}, Sum)
+				v := []float64{base + float64(c.Rank())}
+				c.AllreduceInPlace(v, Sum)
 				want := float64(P)*base + float64(P*(P-1)/2)
 				if v[0] != want {
 					panic("cross-world interference in allreduce")
 				}
-				got := c.Bcast(0, []float64{base})
-				if got[0] != base {
-					panic("cross-world interference in bcast")
+				// Rank 0's value reaches every rank through a posted
+				// Max that stays open across a barrier.
+				root := []float64{math.Inf(-1)}
+				if c.Rank() == 0 {
+					root[0] = base
+				}
+				req := c.IAllreduceInPlace(root, Max)
+				c.Barrier()
+				req.Wait()
+				if root[0] != base {
+					panic("cross-world interference in the posted allreduce")
 				}
 			})
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestRaceGatherScatterStress(t *testing.T) {
-	const P, reps = 6, 8
-	Run(P, nil, func(c *Comm) {
-		for r := 0; r < reps; r++ {
-			mine := []float64{float64(c.Rank()), float64(r)}
-			all, offs := c.Gather(0, mine)
-			if c.Rank() == 0 {
-				for p := 0; p < P; p++ {
-					if all[offs[p]] != float64(p) || all[offs[p]+1] != float64(r) {
-						panic("gather misplaced a contribution")
-					}
-				}
-			}
-			var data []float64
-			if c.Rank() == 0 {
-				for p := 0; p < P; p++ {
-					data = append(data, float64(r*P+p))
-				}
-			}
-			part := c.Scatter(0, data, 1)
-			if part[0] != float64(r*P+c.Rank()) {
-				panic("scatter delivered the wrong chunk")
-			}
-		}
-	})
 }

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -106,46 +107,48 @@ func TestCollectivesSteadyStateZeroAlloc(t *testing.T) {
 	const warm, iters = 20, 200
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, p := range []int{2, 3} {
-		var mallocs uint64
-		Run(p, ZeroNetwork{}, func(c *Comm) {
-			win := NewWin(c.SplitNode(), WinCosts{})
-			win.Reserve(8)
-			v := make([]float64, 4)
-			w := make([]float64, 1)
-			round := func() {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			var mallocs uint64
+			Run(p, ZeroNetwork{}, func(c *Comm) {
+				win := NewWin(c.SplitNode(), WinCosts{})
+				win.Reserve(8)
+				v := make([]float64, 4)
+				w := make([]float64, 1)
+				round := func() {
+					c.Barrier()
+					c.AllreduceInPlace(v, Sum)
+					c.AllreduceScalar(float64(c.Rank()), Max)
+					r := c.IAllreduceInPlace(w, Min)
+					c.AllreduceInPlace(v, Max)
+					r.Wait()
+					win.Fence()
+				}
+				for i := 0; i < warm; i++ {
+					round()
+				}
+				var m1, m2 runtime.MemStats
 				c.Barrier()
-				c.AllreduceInPlace(v, Sum)
-				c.AllreduceScalar(float64(c.Rank()), Max)
-				r := c.IAllreduceInPlace(w, Min)
-				c.AllreduceInPlace(v, Max)
-				r.Wait()
-				win.Fence()
+				if c.Rank() == 0 {
+					runtime.GC()
+					runtime.ReadMemStats(&m1)
+				}
+				c.Barrier()
+				for i := 0; i < iters; i++ {
+					round()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&m2)
+					mallocs = m2.Mallocs - m1.Mallocs
+				}
+				c.Barrier()
+			})
+			// Truncated like testing.AllocsPerRun: a one-off event (a stack
+			// growing mid-window) is tolerated, a per-round allocation is not.
+			if per := mallocs / iters; per != 0 {
+				t.Errorf("a steady-state round of collectives allocates %d times (%d in %d rounds), want 0",
+					per, mallocs, iters)
 			}
-			for i := 0; i < warm; i++ {
-				round()
-			}
-			var m1, m2 runtime.MemStats
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.GC()
-				runtime.ReadMemStats(&m1)
-			}
-			c.Barrier()
-			for i := 0; i < iters; i++ {
-				round()
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&m2)
-				mallocs = m2.Mallocs - m1.Mallocs
-			}
-			c.Barrier()
 		})
-		// Truncated like testing.AllocsPerRun: a one-off event (a stack
-		// growing mid-window) is tolerated, a per-round allocation is not.
-		if per := mallocs / iters; per != 0 {
-			t.Errorf("P=%d: a steady-state round of collectives allocates %d times (%d in %d rounds), want 0",
-				p, per, mallocs, iters)
-		}
 	}
 }

@@ -1,11 +1,6 @@
 package mp
 
-import (
-	"fmt"
-	"time"
-
-	"hybriddem/internal/fault"
-)
+import "fmt"
 
 // This file is the MPI-3 shared-memory subset the mpism mode is built
 // on: MPI_Comm_split_type(MPI_COMM_TYPE_SHARED) becomes SplitNode,
@@ -54,20 +49,6 @@ func (g *NodeGroup) Size() int { return len(g.ranks) }
 // not modify the slice.
 func (g *NodeGroup) Ranks() []int { return g.ranks }
 
-// Index returns this rank's position within the group.
-func (g *NodeGroup) Index() int { return g.index }
-
-// IndexOf returns rank's position within the group, or -1 when the
-// rank is on another node.
-func (g *NodeGroup) IndexOf(rank int) int {
-	for i, r := range g.ranks {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}
-
 // WinCosts prices shared-window traffic on the virtual platform: a
 // fenced load streams the owner's data through the reader's cache at
 // LoadBw bytes/second (no message latency, no send-side copy), and
@@ -86,66 +67,28 @@ type winKey struct {
 	idx    int
 }
 
-// fenceState is one generation of a window fence rendezvous, keyed per
-// shared window. Guarded by world.collMu (fences share the collective
-// condition variable so the watchdog ticker and the any-panic abort
-// wake fence waiters too).
-type fenceState struct {
-	arrived int
-	readers int
-	clock   float64 // max participant clock
-	done    bool
-}
-
 // winShared is the node-global state of one window: every member's
-// published storage plus the fence rendezvous generations. bufs is
-// written under collMu (Reserve) and read lock-free by GetView — the
-// publication fence inside Reserve orders the writes before any
-// peer's read. fgens and ffree are guarded by world.collMu.
+// published storage plus the fences' rendezvous over the group. bufs
+// is written under collMu (Reserve) and read lock-free by GetView —
+// the publication fence inside Reserve orders the writes before any
+// peer's read.
 type winShared struct {
 	bufs  [][]float64
-	fgens map[int]*fenceState
-	ffree []*fenceState
-}
-
-// fenceAt returns (creating or recycling on demand) the state for
-// fence generation gen. Must be called under collMu.
-func (sh *winShared) fenceAt(gen int) *fenceState {
-	st, ok := sh.fgens[gen]
-	if !ok {
-		if k := len(sh.ffree); k > 0 {
-			st = sh.ffree[k-1]
-			sh.ffree[k-1] = nil
-			sh.ffree = sh.ffree[:k-1]
-		} else {
-			st = &fenceState{}
-		}
-		sh.fgens[gen] = st
-	}
-	return st
-}
-
-// recycleFence resets a fully read state for reuse. Must be called
-// under collMu.
-func (sh *winShared) recycleFence(gen int, st *fenceState) {
-	delete(sh.fgens, gen)
-	*st = fenceState{}
-	sh.ffree = append(sh.ffree, st)
+	fence *rendezvous
 }
 
 // Win is one rank's handle on a node-shared window. Every group member
 // must create its windows in the same program order; handles sharing a
 // (group, ordinal) pair address the same storage. The access
 // discipline is MPI_Win_fence active-target epochs: a rank writes only
-// its own region (Put / Slice), a fence separates the write epoch from
-// the read epoch, and peers then load any member's region (Get /
-// GetView) until the next fence.
+// its own region (Slice), a fence separates the write epoch from the
+// read epoch, and peers then load any member's region (GetView) until
+// the next fence.
 type Win struct {
-	g        *NodeGroup
-	sh       *winShared
-	costs    WinCosts
-	local    []float64 // this rank's storage, also published in sh.bufs
-	fenceSeq int       // this rank's next fence generation
+	g     *NodeGroup
+	sh    *winShared
+	costs WinCosts
+	local []float64 // this rank's storage, also published in sh.bufs
 }
 
 // NewWin creates (or attaches to) a shared window on the node group.
@@ -163,7 +106,7 @@ func NewWin(g *NodeGroup, costs WinCosts) *Win {
 	if sh == nil {
 		sh = &winShared{
 			bufs:  make([][]float64, len(g.ranks)),
-			fgens: make(map[int]*fenceState),
+			fence: newRendezvous(len(g.ranks)),
 		}
 		w.wins[key] = sh
 	}
@@ -192,45 +135,27 @@ func (win *Win) Reserve(n int) {
 	win.Fence()
 }
 
-// Put copies src into this rank's own window at offset off. Writes to
-// a window are owner-only; remote data moves by fenced loads, never by
-// remote stores, so no write ever contends.
-func (win *Win) Put(off int, src []float64) {
-	copy(win.local[off:off+len(src)], src)
-}
-
 // Slice returns this rank's window region [off, off+n) for in-place
-// packing — the zero-copy form of Put the halo exchange gathers into.
+// packing; the halo exchange gathers straight into it. Writes to a
+// window are owner-only: remote data moves by fenced loads, never by
+// remote stores, so no write ever contends.
 func (win *Win) Slice(off, n int) []float64 {
 	return win.local[off : off+n]
 }
 
-// loadCost advances the reader's clock for a fenced load of n floats
-// from a peer's window.
-func (win *Win) loadCost(peer, n int) {
+// GetView returns a direct read-only view of group member peer's
+// window region [off, off+n) and advances the reader's clock by the
+// modelled load (a load from one's own region is free). The view is
+// valid only within the current fence epoch: the caller must not
+// retain it across the next Fence (or the owner's next Reserve).
+func (win *Win) GetView(peer, off, n int) []float64 {
 	c := win.g.c
 	bytes := 8 * n
 	if win.costs.LoadBw > 0 && peer != win.g.index {
 		c.Compute(float64(c.modelBytes(bytes)) / win.costs.LoadBw)
 	}
 	c.TC.WinLoadBytes += int64(bytes)
-}
-
-// GetView returns a direct read-only view of group member peer's
-// window region [off, off+n) and charges the modelled load. The view
-// is valid only within the current fence epoch: the caller must not
-// retain it across the next Fence (or the owner's next Reserve).
-func (win *Win) GetView(peer, off, n int) []float64 {
-	win.loadCost(peer, n)
 	return win.sh.bufs[peer][off : off+n]
-}
-
-// Get copies group member peer's window region into dst, charging the
-// modelled load. The copy form of GetView for callers that keep data
-// past the epoch.
-func (win *Win) Get(peer, off int, dst []float64) {
-	win.loadCost(peer, len(dst))
-	copy(dst, win.sh.bufs[peer][off:off+len(dst)])
 }
 
 // Fence closes the current access epoch: it blocks until every group
@@ -250,49 +175,5 @@ func (win *Win) Fence() {
 	if len(g.ranks) == 1 {
 		return
 	}
-	w := c.w
-	w.collMu.Lock()
-	defer w.collMu.Unlock()
-	gen := win.fenceSeq
-	win.fenceSeq++
-	st := win.sh.fenceAt(gen)
-	if c.clock > st.clock {
-		st.clock = c.clock
-	}
-	st.arrived++
-	if st.arrived == len(g.ranks) {
-		st.done = true
-		w.collCond.Broadcast()
-	} else {
-		c.fenceWait(st)
-	}
-	c.clock = st.clock + win.costs.FenceLat
-	st.readers++
-	if st.readers == len(g.ranks) {
-		win.sh.recycleFence(gen, st)
-	}
-}
-
-// fenceWait blocks (under collMu) until st completes, with the same
-// fault surface as collWait: Abandoned on a panicked peer, Timeout
-// past an armed watchdog deadline (the run's ticker broadcasts
-// collCond periodically so the deadline is actually checked).
-func (c *Comm) fenceWait(st *fenceState) {
-	w := c.w
-	var start time.Time
-	for !st.done {
-		if w.anyPanic {
-			panic(&fault.Error{Kind: fault.Abandoned, Rank: c.rank, Step: c.step, Op: "fence",
-				Detail: "window fence abandoned by a panicked rank"})
-		}
-		if w.wd > 0 {
-			if start.IsZero() {
-				start = time.Now()
-			} else if time.Since(start) > w.wd {
-				panic(&fault.Error{Kind: fault.Timeout, Rank: c.rank, Step: c.step, Op: "fence",
-					Detail: fmt.Sprintf("window fence not completed within %v", w.wd)})
-			}
-		}
-		w.collCond.Wait()
-	}
+	c.meet(win.sh.fence, g.index, nil, Sum, win.costs.FenceLat, "fence")
 }

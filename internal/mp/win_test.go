@@ -24,49 +24,43 @@ func TestSplitNodeGrouping(t *testing.T) {
 				t.Errorf("rank %d: group member %d is rank %d, want %d", c.Rank(), i, r, want)
 			}
 		}
-		if g.Index() != c.Rank()%4 {
-			t.Errorf("rank %d: index %d, want %d", c.Rank(), g.Index(), c.Rank()%4)
-		}
-		other := (c.Rank() + 4) % 8
-		if gi := g.IndexOf(other); gi != -1 {
-			t.Errorf("rank %d: off-node rank %d resolved to group index %d", c.Rank(), other, gi)
+		if g.index != c.Rank()%4 {
+			t.Errorf("rank %d: index %d, want %d", c.Rank(), g.index, c.Rank()%4)
 		}
 	})
 	Run(6, ZeroNetwork{}, func(c *Comm) {
 		g := c.SplitNode()
-		if g.Size() != 6 || g.Index() != c.Rank() {
+		if g.Size() != 6 || g.index != c.Rank() {
 			t.Errorf("rank %d: ZeroNetwork group size %d index %d, want 6 and %d",
-				c.Rank(), g.Size(), g.Index(), c.Rank())
+				c.Rank(), g.Size(), g.index, c.Rank())
 		}
 	})
 }
 
-// TestWinPutGetVisibility drives several full fence epochs: every rank
-// packs an epoch-stamped pattern into its own region, fences, and
-// loads every peer's region — both the zero-copy view and the copying
-// Get must see exactly what the owner put there.
-func TestWinPutGetVisibility(t *testing.T) {
+// TestWinSliceGetViewVisibility drives several full fence epochs:
+// every rank packs an epoch-stamped pattern into its own region
+// through Slice, fences, and loads every peer's region, whole and at
+// an offset — each view must see exactly what the owner wrote there.
+func TestWinSliceGetViewVisibility(t *testing.T) {
 	const p, slots, epochs = 4, 16, 5
 	Run(p, ZeroNetwork{}, func(c *Comm) {
 		g := c.SplitNode()
 		win := NewWin(g, WinCosts{})
 		win.Reserve(slots)
-		buf := make([]float64, slots)
 		for e := 0; e < epochs; e++ {
-			for i := range buf {
-				buf[i] = float64(1000*c.Rank() + 100*e + i)
+			dst := win.Slice(0, slots)
+			for i := range dst {
+				dst[i] = float64(1000*c.Rank() + 100*e + i)
 			}
-			win.Put(0, buf)
 			win.Fence()
 			for peer := 0; peer < g.Size(); peer++ {
-				v := win.GetView(peer, 0, slots)
-				got := make([]float64, slots)
-				win.Get(peer, 0, got)
+				whole := win.GetView(peer, 0, slots)
+				part := win.GetView(peer, 3, 5)
 				for i := 0; i < slots; i++ {
 					want := float64(1000*g.Ranks()[peer] + 100*e + i)
-					if v[i] != want || got[i] != want {
-						t.Errorf("rank %d epoch %d: peer %d slot %d = view %v / copy %v, want %v",
-							c.Rank(), e, peer, i, v[i], got[i], want)
+					if whole[i] != want || (i >= 3 && i < 8 && part[i-3] != want) {
+						t.Errorf("rank %d epoch %d: peer %d slot %d = %v, want %v",
+							c.Rank(), e, peer, i, whole[i], want)
 						return
 					}
 				}

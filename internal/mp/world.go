@@ -106,8 +106,7 @@ type world struct {
 
 	collMu   sync.Mutex
 	collCond *sync.Cond
-	colls    map[int]*collState
-	freeColl []*collState // recycled collective states
+	coll     *rendezvous // the collectives' generations, over all ranks
 	anyPanic bool
 
 	unwound     chan struct{} // closed when the first rank unwinds (Comm.Unwound)
@@ -127,8 +126,8 @@ type world struct {
 	freeCollReq []*CollRequest
 
 	// Shared-memory window registry (mpism mode): node groups attach to
-	// their windows by (leader rank, creation ordinal). Fence states
-	// live inside each winShared under collMu.
+	// their windows by (leader rank, creation ordinal). Each winShared
+	// holds its fences' rendezvous, guarded by collMu like coll.
 	winMu sync.Mutex
 	wins  map[winKey]*winShared
 }
@@ -220,7 +219,6 @@ type Comm struct {
 	rank, size int
 	w          *world
 	clock      float64
-	collSeq    int        // this rank's next collective generation
 	byteScale  float64    // multiplier on modelled payload sizes (1 = off)
 	scalar     [1]float64 // AllreduceScalar scratch
 	step       int        // last FaultPoint step, for fault annotation
@@ -339,6 +337,7 @@ func RunOpts(p int, opt RunOptions, fn func(c *Comm)) ([]*Comm, error) {
 		faults:    opt.Faults,
 		integrity: !opt.NoIntegrity,
 		wd:        opt.Watchdog,
+		coll:      newRendezvous(p),
 		unwound:   make(chan struct{}),
 	}
 	w.collCond = sync.NewCond(&w.collMu)
@@ -612,12 +611,4 @@ func (c *Comm) Recv(src, tag int) ([]float64, []int32) {
 		}
 		return p.f, p.i
 	}
-}
-
-// SendRecv performs the matched exchange the halo swap is built from:
-// send to dst and receive from src with the same tag, without
-// deadlock (sends are eager). It mirrors MPI_Sendrecv.
-func (c *Comm) SendRecv(dst, tag int, f []float64, ints []int32, src int) ([]float64, []int32) {
-	c.Send(dst, tag, f, ints)
-	return c.Recv(src, tag)
 }
