@@ -171,3 +171,23 @@ func TestRunBadFlagsExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFusedRejectsReductionMethod: the fused hybrid loop with an
+// array reduction is refused before any rank starts — exit 1, the
+// reason and the allowed methods on stderr — instead of panicking
+// inside the first rebuild.
+func TestRunFusedRejectsReductionMethod(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-d", "2", "-n", "2000", "-mode", "hybrid", "-p", "2", "-t", "2",
+		"-fused", "-method", "stripe", "-iters", "3", "-platform", "none"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	msg := errb.String()
+	if !strings.Contains(msg, "method stripe") || !strings.Contains(msg, "atomic | selected-atomic") {
+		t.Errorf("stderr does not name the method and the allowed ones: %s", msg)
+	}
+	if strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+		t.Errorf("the run panicked: %s", msg)
+	}
+}

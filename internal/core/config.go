@@ -406,7 +406,18 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: %v mode with T=%d", c.Mode, c.T)
 		}
 	case Hybrid:
-		// any P, T combination
+		// Any P, T combination; the fused loop runs one updater over
+		// all of a rank's blocks, which an array reduction cannot.
+		if c.Fused && c.Method.ArrayReduction() {
+			var valid []string
+			for _, m := range shm.Methods {
+				if !m.ArrayReduction() {
+					valid = append(valid, m.String())
+				}
+			}
+			return fmt.Errorf("core: fused hybrid loop with method %v, which reduces one block's force array (valid with fused: %s)",
+				c.Method, strings.Join(valid, " | "))
+		}
 	default:
 		return fmt.Errorf("core: unrecognised mode %v (valid: %s)", c.Mode, strings.Join(ModeNames(), " | "))
 	}

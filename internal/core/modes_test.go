@@ -283,6 +283,48 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestValidateFusedMethods: the fused hybrid loop runs one updater over
+// all of a rank's blocks, so an array reduction — which reduces one
+// block's force array — is refused by name, with the methods that are
+// allowed; the same method per block, or the flag outside hybrid mode,
+// stays legal.
+func TestValidateFusedMethods(t *testing.T) {
+	cases := []struct {
+		mode   Mode
+		method shm.Method
+		fused  bool
+		ok     bool
+	}{
+		{Hybrid, shm.Atomic, true, true},
+		{Hybrid, shm.SelectedAtomic, true, true},
+		{Hybrid, shm.CriticalReduction, true, false},
+		{Hybrid, shm.Stripe, true, false},
+		{Hybrid, shm.Transpose, true, false},
+		{Hybrid, shm.Stripe, false, true},
+		{OpenMP, shm.Stripe, true, true},
+	}
+	for _, c := range cases {
+		cfg := Default(2, 100)
+		cfg.Mode, cfg.Method, cfg.Fused = c.mode, c.method, c.fused
+		cfg.P, cfg.T = 2, 2
+		if c.mode == OpenMP {
+			cfg.P = 1
+		}
+		err := cfg.Validate()
+		switch {
+		case c.ok:
+			if err != nil {
+				t.Errorf("%v %v fused=%v rejected: %v", c.mode, c.method, c.fused, err)
+			}
+		case err == nil:
+			t.Errorf("%v %v fused=%v accepted", c.mode, c.method, c.fused)
+		case !strings.Contains(err.Error(), c.method.String()+",") ||
+			!strings.Contains(err.Error(), "valid with fused: atomic | selected-atomic"):
+			t.Errorf("%v %v fused=%v: error %q does not name the method and the allowed ones", c.mode, c.method, c.fused, err)
+		}
+	}
+}
+
 // TestModeTableCoverage pins the single name<->Mode table: every
 // declared mode must round-trip through ModeByName (case-insensitively)
 // and validate under a legal shape, and anything outside the table —

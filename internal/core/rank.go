@@ -19,19 +19,20 @@ type rankSim struct {
 	c   *mp.Comm
 	dm  *decomp.Domain
 
-	team  *shm.Team      // nil in MPI mode
-	upds  []*shm.Updater // per owned block (hybrid)
-	fused *shm.FusedUpdater
+	team *shm.Team // nil in MPI mode
+
+	// upds are the hybrid force updaters, refreshed at rebuild: one per
+	// owned block, or under cfg.Fused one over all of them (the paper's
+	// Section 11 single loop over all links in all blocks).
+	upds []*shm.Updater
 
 	// Per-step scratch, refreshed at rebuild so the step loop itself
-	// allocates nothing: block views for the team kernels, the fused
-	// piece list, the two-element energy reduction buffer, the
-	// rebuild-vote buffer of the overlapped path, and the gate that
-	// holds hybrid threads at the core/halo link boundary until the
-	// split-phase exchange lands.
+	// allocates nothing: block views for the team kernels, the
+	// two-element energy reduction buffer, the rebuild-vote buffer of
+	// the overlapped path, and the gate that holds hybrid threads at the
+	// core/halo link boundary until the split-phase exchange lands.
 	stores []*shm.BlockStore
 	cores  []int
-	pieces []shm.FusedPiece
 	energy [2]float64
 	vote   [1]float64
 	stop   [1]float64    // the Stop verdict's allreduce buffer
@@ -137,17 +138,8 @@ func newRankSim(cfg *Config, c *mp.Comm, l *decomp.Layout) *rankSim {
 		if cfg.Watchdog > 0 {
 			r.gate.SetDeadline(cfg.Watchdog)
 		}
-		if cfg.Fused {
-			r.fused = shm.NewFusedUpdater(cfg.Method)
-		} else {
-			for range r.dm.Blocks {
-				r.upds = append(r.upds, shm.NewUpdater(cfg.Method))
-			}
-		}
 	}
-	if r.fused == nil { // the fused updater walks the lists
-		r.dm.ViewCut2 = cfg.viewCut2()
-	}
+	r.dm.ViewCut2 = cfg.viewCut2()
 	return r
 }
 
@@ -204,23 +196,27 @@ func (r *rankSim) rebuild() {
 
 	if r.team != nil {
 		r.refreshBlockViews()
-		if r.fused != nil {
-			if cap(r.pieces) < len(r.dm.Blocks) {
-				r.pieces = make([]shm.FusedPiece, len(r.dm.Blocks))
+		// The rebalancer changes this rank's block count; spare
+		// updaters wait beyond len for it to grow back.
+		n := len(r.stores)
+		if cfg.Fused {
+			n = 1
+		}
+		r.upds = r.upds[:cap(r.upds)]
+		for len(r.upds) < n {
+			r.upds = append(r.upds, nil)
+		}
+		r.upds = r.upds[:n]
+		for i, u := range r.upds {
+			if u == nil {
+				r.upds[i] = shm.NewUpdater(cfg.Method)
 			}
-			r.pieces = r.pieces[:len(r.dm.Blocks)]
-			for i, b := range r.dm.Blocks {
-				r.pieces[i] = shm.FusedPiece{PS: b.PS, Links: b.List.Links, NCoreLinks: b.List.NCore, NCore: b.NCore}
-			}
-			r.fused.Prepare(r.pieces, cfg.T)
+		}
+		if cfg.Fused {
+			r.upds[0].PrepareBlocks(r.stores, cfg.T)
 		} else {
-			// The rebalancer can grow this rank's block count past what
-			// newRankSim saw.
-			for len(r.upds) < len(r.dm.Blocks) {
-				r.upds = append(r.upds, shm.NewUpdater(cfg.Method))
-			}
-			for i, b := range r.dm.Blocks {
-				r.upds[i].Prepare(b.List.Links, b.PS.Len(), b.NCore, cfg.T)
+			for i, u := range r.upds {
+				u.PrepareBlocks(r.stores[i:i+1], cfg.T)
 			}
 		}
 	}
@@ -250,9 +246,9 @@ func (r *rankSim) viewOf(b *decomp.Block) *cell.View {
 }
 
 // refreshBlockViews resyncs the cached per-block views the team
-// kernels consume. Core counts only change at rebuild (migration), so
-// the step loop can hand these to ZeroForcesAllBlocks /
-// IntegrateAllBlocks without per-step allocation.
+// kernels consume. Core counts and lists only change at rebuild
+// (migration), so the step loop can hand these to the kernels and the
+// updaters without per-step allocation.
 func (r *rankSim) refreshBlockViews() {
 	nb := len(r.dm.Blocks)
 	for len(r.stores) < nb {
@@ -264,7 +260,8 @@ func (r *rankSim) refreshBlockViews() {
 	}
 	r.cores = r.cores[:nb]
 	for i, b := range r.dm.Blocks {
-		*r.stores[i] = shm.BlockStore{PS: b.PS, NCore: b.NCore, Ref: &b.RefPos}
+		*r.stores[i] = shm.BlockStore{PS: b.PS, NCore: b.NCore, Ref: &b.RefPos,
+			Links: b.List.Links, NCoreLinks: b.List.NCore, View: &b.View}
 		r.cores[i] = b.NCore
 	}
 }
@@ -335,8 +332,7 @@ func (r *rankSim) stepSync() float64 {
 	// halo links at half.
 	f0 := r.clock()
 	epot := 0.0
-	switch {
-	case r.team == nil:
+	if r.team == nil {
 		// Halo-link counts are a surface effect, so their charges get
 		// the surface/bulk weight when modelling a larger system.
 		hw := cfg.surfScale() / cfg.workScale()
@@ -358,14 +354,10 @@ func (r *rankSim) stepSync() float64 {
 				force.ApplyGravity(b.PS, b.NCore, cfg.D-1, cfg.Gravity)
 			}
 		}
-	case r.fused != nil:
+	} else {
 		shm.ZeroForcesAllBlocks(r.team, r.stores)
-		epot = r.fused.Accumulate(r.team, cfg.Spring, plain)
-		r.applyGravityBlocks()
-	default:
-		shm.ZeroForcesAllBlocks(r.team, r.stores)
-		for i, b := range dm.Blocks {
-			epot += r.upds[i].AccumulateView(r.team, cfg.Spring, b.PS, b.List.Links, r.viewOf(b), b.List.NCore, b.NCore, plain)
+		for _, u := range r.upds {
+			epot += u.AccumulateBlocks(r.team, cfg.Spring, plain, r.viewOK)
 		}
 		r.applyGravityBlocks()
 	}
@@ -436,12 +428,9 @@ func (r *rankSim) stepOverlap() float64 {
 	// Split-phase halo swap wrapped around the force phase.
 	r.countView()
 	var epot float64
-	switch {
-	case r.team == nil:
+	if r.team == nil {
 		epot = r.overlapForceMPI(plain)
-	case r.fused != nil:
-		epot = r.overlapForceFused(plain)
-	default:
+	} else {
 		epot = r.overlapForceBlocks(plain)
 	}
 
@@ -559,13 +548,15 @@ func (r *rankSim) overlapForceMPI(plain geom.Box) float64 {
 	return epot
 }
 
-// overlapForceBlocks is the split-phase force pass of a hybrid rank
-// with per-block updaters: the first block's region is dispatched to
-// the workers with StartRegion, the master drains the exchange while
-// they chew through the core links (threads reaching the core/halo
-// boundary of their chunk park on the gate), then the gate opens at
-// the communication clock, the master joins the region, and the
-// remaining blocks run with halos already in place.
+// overlapForceBlocks is the split-phase force pass of a hybrid rank:
+// the first updater's region is dispatched to the workers with
+// StartRegion, the master drains the exchange while they chew through
+// the core links (threads reaching the core/halo boundary of their
+// chunk park on the gate), then the gate opens at the communication
+// clock, the master joins the region, and the remaining updaters run
+// with halos already in place. Under cfg.Fused the first updater is the
+// only one and covers every block, so the whole force loop overlaps the
+// drain.
 func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
 	cfg := r.cfg
 	dm := r.dm
@@ -579,9 +570,9 @@ func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
 	r.syncClocks() // comm clock to the region join: the master zeroes too
 
 	r.gate.Reset()
-	if len(dm.Blocks) == 0 {
-		// The rebalancer can leave a rank briefly blockless; just drain
-		// the exchange.
+	if len(r.upds) == 0 {
+		// The rebalancer can leave a per-block rank briefly blockless;
+		// just drain the exchange.
 		d0 := r.c.Clock()
 		r.drainExchange()
 		d1 := r.c.Clock()
@@ -590,8 +581,7 @@ func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
 		r.accountHybridOverlap(c0, c1, d0, d1, r.clock())
 		return 0
 	}
-	b0 := dm.Blocks[0]
-	r.upds[0].AccumulateStart(r.team, cfg.Spring, b0.PS, b0.List.Links, r.viewOf(b0), b0.List.NCore, b0.NCore, plain, r.gate)
+	r.upds[0].AccumulateStart(r.team, cfg.Spring, plain, r.viewOK, r.gate)
 
 	d0 := r.c.Clock()
 	r.drainExchange()
@@ -599,41 +589,9 @@ func (r *rankSim) overlapForceBlocks(plain geom.Box) float64 {
 	r.gate.Open(d1)
 
 	epot := r.upds[0].AccumulateFinish(r.team, d1)
-	for i := 1; i < len(dm.Blocks); i++ {
-		b := dm.Blocks[i]
-		epot += r.upds[i].AccumulateView(r.team, cfg.Spring, b.PS, b.List.Links, r.viewOf(b), b.List.NCore, b.NCore, plain)
+	for _, u := range r.upds[1:] {
+		epot += u.AccumulateBlocks(r.team, cfg.Spring, plain, r.viewOK)
 	}
-	r.applyGravityBlocks()
-	r.syncClocks()
-	fEnd := r.clock()
-
-	r.accountHybridOverlap(c0, c1, d0, d1, fEnd)
-	return epot
-}
-
-// overlapForceFused is overlapForceBlocks for the fused updater: one
-// region covers every block's links, so the whole force loop overlaps
-// the drain.
-func (r *rankSim) overlapForceFused(plain geom.Box) float64 {
-	cfg := r.cfg
-
-	c0 := r.clock()
-	r.dm.BeginRefreshHalos()
-	r.syncClocks()
-	c1 := r.clock()
-
-	shm.ZeroForcesAllBlocks(r.team, r.stores)
-	r.syncClocks()
-
-	r.gate.Reset()
-	r.fused.AccumulateStart(r.team, cfg.Spring, plain, r.gate)
-
-	d0 := r.c.Clock()
-	r.drainExchange()
-	d1 := r.c.Clock()
-	r.gate.Open(d1)
-
-	epot := r.fused.AccumulateFinish(r.team, d1)
 	r.applyGravityBlocks()
 	r.syncClocks()
 	fEnd := r.clock()

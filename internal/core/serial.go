@@ -29,6 +29,11 @@ type sharedSim struct {
 	team *shm.Team // nil in Serial mode
 	upd  *shm.Updater
 
+	// The store as the team kernels see it, one block of cfg.N cores
+	// (OpenMP mode), and that core count as they take it.
+	blocks []*shm.BlockStore
+	cores  []int
+
 	clock float64 // serial-mode virtual clock
 	tc    trace.Counters
 	tally
@@ -62,6 +67,8 @@ func newSharedSim(cfg Config) *sharedSim {
 	if cfg.Mode == OpenMP {
 		s.team = shm.NewTeam(cfg.T, shm.Costs{})
 		s.upd = shm.NewUpdater(cfg.Method)
+		s.blocks = []*shm.BlockStore{{PS: s.ps, NCore: cfg.N, Ref: &s.ref, View: &s.view}}
+		s.cores = []int{cfg.N}
 	}
 	// The whole-box grid geometry never changes, so one grid (and its
 	// reused binning scratch) serves every rebuild.
@@ -149,7 +156,8 @@ func (s *sharedSim) rebuild() {
 		}
 	}
 	if s.upd != nil {
-		s.upd.Prepare(s.list.Links, s.ps.Len(), cfg.N, cfg.T)
+		s.blocks[0].Links, s.blocks[0].NCoreLinks = s.list.Links, len(s.list.Links)
+		s.upd.PrepareBlocks(s.blocks, cfg.T)
 	}
 }
 
@@ -188,8 +196,8 @@ func (s *sharedSim) step() float64 {
 			float64(s.tc.Contacts-c0)*s.contactCost +
 			2*float64(n)*s.updCost
 	} else {
-		shm.ZeroForcesParallel(s.team, s.ps, cfg.N)
-		s.epot = s.upd.AccumulateView(s.team, cfg.Spring, s.ps, links, view, len(links), cfg.N, s.box)
+		shm.ZeroForcesAllBlocks(s.team, s.blocks)
+		s.epot = s.upd.AccumulateBlocks(s.team, cfg.Spring, s.box, s.viewOK)
 	}
 	if cfg.Gravity != 0 {
 		force.ApplyGravity(s.ps, cfg.N, cfg.D-1, cfg.Gravity)
@@ -206,7 +214,7 @@ func (s *sharedSim) step() float64 {
 		s.ekin, moved = force.Sweep(s.ps, &s.ref, 0, cfg.N, cfg.Dt, s.box, force.WrapGlobal, &s.tc)
 		s.clock += float64(cfg.N) * s.partCost
 	} else {
-		s.ekin, moved = shm.SweepParallel(s.team, s.ps, &s.ref, cfg.N, cfg.Dt, s.box, force.WrapGlobal)
+		s.ekin, moved = shm.SweepAllBlocks(s.team, s.blocks, s.cores, cfg.Dt, s.box, force.WrapGlobal)
 	}
 	s.updateTime += s.nowClock() - u0
 	s.span("update", u0, s.nowClock())

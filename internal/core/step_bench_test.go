@@ -179,6 +179,16 @@ func BenchmarkStepBedHybridT2(b *testing.B) {
 	benchDistributed(b, cfg, bedWarm)
 }
 
+// BenchmarkStepBedHybridFused is BenchmarkStepBedHybridT2 with one
+// updater over all of the rank's blocks, so the multi-block Prepare
+// runs inside the loop at every rebuild.
+func BenchmarkStepBedHybridFused(b *testing.B) {
+	cfg := benchBed(Hybrid)
+	cfg.T = 2
+	cfg.Fused = true
+	benchDistributed(b, cfg, bedWarm)
+}
+
 // benchChunkBoundary times what a durable chunk costs the engine: a run
 // advanced through AdvanceTo with a save every second step — the end of
 // an Advance, the gather of the state by particle id and as the stores

@@ -21,15 +21,20 @@ func TestAccumulateSteadyStateZeroAlloc(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			tm := NewTeam(T, Costs{})
 			defer tm.Close()
-			u := NewUpdater(m)
-			u.Prepare(list.Links, ps.Len(), n, T)
 			ref := ps.SnapshotPos()
+			blocks := []*BlockStore{{PS: ps, NCore: n, Ref: &ref, Links: list.Links, NCoreLinks: list.NCore}}
+			cores := []int{n}
+			u := NewUpdater(m)
+			u.PrepareBlocks(blocks, T)
+			one := NewUpdater(m)
+			one.Prepare(list.Links, ps.Len(), n, T)
 			step := func() {
-				ZeroForcesParallel(tm, ps, n)
-				u.Accumulate(tm, sp, ps, list.Links, list.NCore, n, box)
+				ZeroForcesAllBlocks(tm, blocks)
+				u.AccumulateBlocks(tm, sp, box, false)
+				one.Accumulate(tm, sp, ps, list.Links, list.NCore, n, box)
 				// dt = 0 keeps the configuration (and hence the link
 				// list) valid forever while still running the kernel.
-				SweepParallel(tm, ps, &ref, n, 0, box, force.WrapGlobal)
+				SweepAllBlocks(tm, blocks, cores, 0, box, force.WrapGlobal)
 			}
 			for i := 0; i < 5; i++ {
 				step() // warm scratch, worker stacks, private arrays
@@ -41,8 +46,8 @@ func TestAccumulateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedAccumulateSteadyStateZeroAlloc is the same gate for the
-// fused single-region updater over multiple blocks.
+// TestFusedAccumulateSteadyStateZeroAlloc is the same gate for one
+// updater over several blocks, the fused single region.
 func TestFusedAccumulateSteadyStateZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -50,24 +55,20 @@ func TestFusedAccumulateSteadyStateZeroAlloc(t *testing.T) {
 	const T = 4
 	psA, listA, box, sp := buildForceSystem(19, 200, 30, 2)
 	psB, listB, _, _ := buildForceSystem(23, 150, 20, 2)
-	pieces := []FusedPiece{
-		{PS: psA, Links: listA.Links, NCoreLinks: listA.NCore, NCore: 200},
-		{PS: psB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: 150},
-	}
 	refA, refB := psA.SnapshotPos(), psB.SnapshotPos()
 	blocks := []*BlockStore{
-		{PS: psA, NCore: 200, Ref: &refA},
-		{PS: psB, NCore: 150, Ref: &refB},
+		{PS: psA, NCore: 200, Ref: &refA, Links: listA.Links, NCoreLinks: listA.NCore},
+		{PS: psB, NCore: 150, Ref: &refB, Links: listB.Links, NCoreLinks: listB.NCore},
 	}
 	cores := []int{200, 150}
 
-	fu := NewFusedUpdater(SelectedAtomic)
-	fu.Prepare(pieces, T)
+	fu := NewUpdater(SelectedAtomic)
+	fu.PrepareBlocks(blocks, T)
 	tm := NewTeam(T, Costs{})
 	defer tm.Close()
 	step := func() {
 		ZeroForcesAllBlocks(tm, blocks)
-		fu.Accumulate(tm, sp, box)
+		fu.AccumulateBlocks(tm, sp, box, false)
 		SweepAllBlocks(tm, blocks, cores, 0, box, force.WrapGlobal)
 	}
 	for i := 0; i < 5; i++ {
@@ -79,7 +80,8 @@ func TestFusedAccumulateSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestPrepareWarmZeroAlloc: re-preparing after a (same-shape) rebuild
-// reuses the conflict table, locks and scratch.
+// reuses the conflict tables, locks and scratch, over one block or
+// several.
 func TestPrepareWarmZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -87,7 +89,15 @@ func TestPrepareWarmZeroAlloc(t *testing.T) {
 	const n, halo, T = 240, 40, 4
 	ps, list, _, _ := buildForceSystem(7, n, halo, 2)
 	u := NewUpdater(SelectedAtomic)
-	prep := func() { u.Prepare(list.Links, ps.Len(), n, T) }
+	fu := NewUpdater(SelectedAtomic)
+	blocks := []*BlockStore{
+		{PS: ps, NCore: n, Links: list.Links[:len(list.Links)/2]},
+		{PS: ps, NCore: n, Links: list.Links[len(list.Links)/2:]},
+	}
+	prep := func() {
+		u.Prepare(list.Links, ps.Len(), n, T)
+		fu.PrepareBlocks(blocks, T)
+	}
 	prep()
 	if avg := testing.AllocsPerRun(10, prep); avg != 0 {
 		t.Errorf("warm Prepare allocates %g times per run, want 0", avg)

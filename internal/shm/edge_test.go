@@ -27,17 +27,17 @@ func TestNewUpdaterUnknownMethodPanicsOnUse(t *testing.T) {
 	u.Accumulate(tm, sp, ps, list.Links, list.NCore, 10, box)
 }
 
-func TestUpdaterConflictsGetter(t *testing.T) {
+func TestUpdaterNumShared(t *testing.T) {
 	ps, list, _, _ := buildForceSystem(3, 50, 0, 2)
 	u := NewUpdater(SelectedAtomic)
 	u.Prepare(list.Links, ps.Len(), 50, 2)
-	if u.Conflicts() == nil {
-		t.Error("selected-atomic should build a conflict table")
+	if want := BuildConflictTable(list.Links, ps.Len(), 50, 2).NumShared(); u.NumShared() != want || want == 0 {
+		t.Errorf("selected-atomic shares %d particles, its conflict table %d", u.NumShared(), want)
 	}
 	a := NewUpdater(Atomic)
 	a.Prepare(list.Links, ps.Len(), 50, 2)
-	if a.Conflicts() != nil {
-		t.Error("atomic method should not build a conflict table")
+	if a.NumShared() != 0 {
+		t.Error("atomic method should build no conflict table")
 	}
 }
 
@@ -112,15 +112,28 @@ func TestThreadComputeIgnoresNegative(t *testing.T) {
 	}
 }
 
+// TestFusedPrepareMismatchPanics: a multi-block updater refuses a team
+// of another size than PrepareBlocks saw, a block whose list changed
+// length since, and the one-block Accumulate.
 func TestFusedPrepareMismatchPanics(t *testing.T) {
-	ps, list, box, sp := buildForceSystem(7, 50, 0, 2)
-	fu := NewFusedUpdater(SelectedAtomic)
-	fu.Prepare([]FusedPiece{{PS: ps, Links: list.Links, NCoreLinks: list.NCore, NCore: 50}}, 2)
-	tm := NewTeam(3, Costs{}) // wrong team size
-	defer func() {
-		if recover() == nil {
-			t.Error("team-size mismatch accepted")
-		}
-	}()
-	fu.Accumulate(tm, sp, box)
+	psA, listA, box, sp := buildForceSystem(7, 50, 0, 2)
+	psB, listB, _, _ := buildForceSystem(8, 40, 0, 2)
+	blocks := []*BlockStore{
+		{PS: psA, Links: listA.Links, NCoreLinks: listA.NCore, NCore: 50},
+		{PS: psB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: 40},
+	}
+	fu := NewUpdater(SelectedAtomic)
+	fu.PrepareBlocks(blocks, 2)
+	t3 := NewTeam(3, Costs{}) // wrong team size
+	defer t3.Close()
+	expectPanic(t, "prepared for T=2", func() { fu.AccumulateBlocks(t3, sp, box, false) })
+
+	t2 := NewTeam(2, Costs{})
+	defer t2.Close()
+	blocks[1].Links = listB.Links[1:]
+	expectPanic(t, "run with T=2 over", func() { fu.AccumulateBlocks(t2, sp, box, false) })
+	blocks[1].Links = listB.Links
+	expectPanic(t, "prepared for 2 blocks", func() {
+		fu.Accumulate(t2, sp, psA, listA.Links, listA.NCore, 50, box)
+	})
 }

@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"hybriddem/internal/cell"
 	"hybriddem/internal/fault"
+	"hybriddem/internal/force"
+	"hybriddem/internal/geom"
+	"hybriddem/internal/particle"
 )
 
 // expectFault runs f expecting a panic carrying a typed *fault.Error
@@ -178,5 +182,74 @@ func TestRaceGateAbortOpenCycles(t *testing.T) {
 	})
 	if mask != 15 {
 		t.Fatalf("final region ran thread mask %b, want 1111", mask)
+	}
+}
+
+// TestHaloGateEmptyChunks pins the gate rule for a thread whose chunk
+// of the force loop is empty, as it is when block 0 of an overlapped
+// hybrid region has fewer links than T. Over one block every thread
+// runs its chunk, empty or not, so a thread whose empty chunk lies at
+// or past the core/halo boundary waits on the gate: the stall it pays
+// from the region start is the region's exposed communication. Over
+// several blocks a thread skips the blocks its chunk misses and waits
+// only where it meets halo links. Costs are zero, so a thread's clock
+// is the region start (1e-4), the master's start (2e-4) or the gate's
+// opening (3e-4).
+func TestHaloGateEmptyChunks(t *testing.T) {
+	box := geom.NewBox(2, 1, geom.Reflecting)
+	sp := force.Spring{Diameter: 0.09, K: 40}
+	store := func(n int) *particle.Store {
+		ps := particle.New(2, n)
+		for i := 0; i < n; i++ {
+			ps.Append(geom.Vec{0.1 + 0.05*float64(i), 0.5}, geom.Vec{}, int32(i))
+		}
+		return ps
+	}
+	empty := &BlockStore{PS: store(3), NCore: 3}
+	// One core link and one halo link: the chunks of four threads are
+	// [0,0] [0,1] [1,1] [1,2], and thread 2's empty one lies at the
+	// boundary.
+	tiny := &BlockStore{PS: store(3), NCore: 2, Links: []cell.Link{{I: 0, J: 1}, {I: 0, J: 2}}, NCoreLinks: 1}
+	var core []cell.Link
+	for i := int32(0); i < 4; i++ {
+		for j := i + 1; j < 5; j++ {
+			core = append(core, cell.Link{I: i, J: j})
+		}
+	}
+	full := &BlockStore{PS: store(5), NCore: 5, Links: core, NCoreLinks: len(core)}
+	start, opened := 1e-4, 3e-4
+	stall := opened - start // at run time: the clocks subtract in float64
+
+	cases := []struct {
+		name   string
+		blocks []*BlockStore
+		T      int
+		clocks []float64
+		stall  float64
+	}{
+		{"one-block/no-links", []*BlockStore{empty}, 3, []float64{3e-4, 3e-4, 3e-4}, stall},
+		{"one-block/fewer-links-than-T", []*BlockStore{tiny}, 4, []float64{2e-4, 1e-4, 3e-4, 3e-4}, stall},
+		{"two-blocks/first-empty", []*BlockStore{empty, full}, 3, []float64{2e-4, 1e-4, 1e-4}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tm := NewTeam(c.T, Costs{})
+			defer tm.Close()
+			tm.SetClock(start)
+			u := NewUpdater(SelectedAtomic)
+			u.PrepareBlocks(c.blocks, c.T)
+			gate := NewHaloGate()
+			u.AccumulateStart(tm, sp, box, false, gate)
+			gate.Open(opened)
+			u.AccumulateFinish(tm, 2e-4)
+			for i, th := range tm.threads {
+				if th.clock != c.clocks[i] {
+					t.Errorf("thread %d clock %g, want %g", i, th.clock, c.clocks[i])
+				}
+			}
+			if gate.MaxStall() != c.stall {
+				t.Errorf("MaxStall %g, want %g", gate.MaxStall(), c.stall)
+			}
+		})
 	}
 }

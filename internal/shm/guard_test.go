@@ -78,7 +78,7 @@ func TestPrepareClearsStaleLocks(t *testing.T) {
 	u := NewUpdater(Atomic)
 	u.Prepare(links, ps.Len(), 2, 1)
 	// Simulate the abandoned region: particle 0's spinlock left held.
-	u.locks[links[0].I] = 1
+	u.locks[0][links[0].I] = 1
 	u.Prepare(links, ps.Len(), 2, 1)
 
 	tm := NewTeam(1, Costs{})

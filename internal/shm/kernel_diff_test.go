@@ -160,15 +160,16 @@ func TestUpdaterSpecialisedEqualsGeneric(t *testing.T) {
 									defer tm.Close()
 									tm.SetClock(1e-4)
 									u := NewUpdater(m)
-									u.Prepare(list.Links, ps.Len(), n, T)
 									work := ps.Clone()
 									work.ZeroForces()
 									if !gated {
+										u.Prepare(list.Links, ps.Len(), n, T)
 										e := u.Accumulate(tm, sc.sp, work, list.Links, list.NCore, n, box)
 										return outcomeOf(tm, nil, e, work)
 									}
+									u.PrepareBlocks([]*BlockStore{{PS: work, NCore: n, Links: list.Links, NCoreLinks: list.NCore}}, T)
 									gate := NewHaloGate()
-									u.AccumulateStart(tm, sc.sp, work, list.Links, nil, list.NCore, n, box, gate)
+									u.AccumulateStart(tm, sc.sp, box, false, gate)
 									gate.Open(3e-4)
 									e := u.AccumulateFinish(tm, 2e-4)
 									return outcomeOf(tm, gate, e, work)
@@ -191,7 +192,7 @@ func TestUpdaterSpecialisedEqualsGeneric(t *testing.T) {
 
 func TestFusedSpecialisedEqualsGeneric(t *testing.T) {
 	// Four blocks of unequal size, so that at T=2 and T=3 thread chunks
-	// of the concatenated list start and end inside pieces.
+	// of the concatenated list start and end inside blocks.
 	sizes := [][2]int{{150, 30}, {90, 25}, {210, 40}, {60, 20}}
 	for _, d := range []int{2, 3} {
 		var stores []*particle.Store
@@ -213,32 +214,32 @@ func TestFusedSpecialisedEqualsGeneric(t *testing.T) {
 							run := func() regionOutcome {
 								tm := NewTeam(T, diffCosts)
 								defer tm.Close()
-								pieces := make([]FusedPiece, len(stores))
+								blocks := make([]*BlockStore, len(stores))
 								work := make([]*particle.Store, len(stores))
 								for i, ps := range stores {
 									work[i] = ps.Clone()
 									work[i].ZeroForces()
-									pieces[i] = FusedPiece{PS: work[i], Links: lists[i].Links, NCoreLinks: lists[i].NCore, NCore: sizes[i][0]}
+									blocks[i] = &BlockStore{PS: work[i], Links: lists[i].Links, NCoreLinks: lists[i].NCore, NCore: sizes[i][0]}
 								}
-								fu := NewFusedUpdater(m)
-								fu.Prepare(pieces, T)
+								fu := NewUpdater(m)
+								fu.PrepareBlocks(blocks, T)
 								straddles := 0
 								for t := 1; t < T; t++ {
-									lo, _ := chunk(fu.total, T, t)
-									for i := range pieces {
+									lo, _ := chunk(fu.offsets[len(blocks)], T, t)
+									for i := range blocks {
 										if lo > fu.offsets[i] && lo < fu.offsets[i+1] {
 											straddles++
 										}
 									}
 								}
 								if straddles != T-1 {
-									t.Fatalf("%d of %d chunk boundaries fall inside a piece", straddles, T-1)
+									t.Fatalf("%d of %d chunk boundaries fall inside a block", straddles, T-1)
 								}
 								if !gated {
-									return outcomeOf(tm, nil, fu.Accumulate(tm, sc.sp, box), work...)
+									return outcomeOf(tm, nil, fu.AccumulateBlocks(tm, sc.sp, box, false), work...)
 								}
 								gate := NewHaloGate()
-								fu.AccumulateStart(tm, sc.sp, box, gate)
+								fu.AccumulateStart(tm, sc.sp, box, false, gate)
 								gate.Open(3e-4)
 								return outcomeOf(tm, gate, fu.AccumulateFinish(tm, 2e-4), work...)
 							}

@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"hybriddem/internal/cell"
 	"hybriddem/internal/force"
 	"hybriddem/internal/geom"
 	"hybriddem/internal/particle"
@@ -10,6 +11,20 @@ import (
 // are reused structs stored on the Team rather than closures: filling
 // a struct field and passing its pointer through the RegionBody
 // interface performs no allocation.
+
+// BlockStore is one block as the team kernels see it: its particle
+// store and core count, the position snapshot of its last list build,
+// and that list. The particle sweeps read the first three, the force
+// Updater the store and the list. A shared-memory run is one block.
+type BlockStore struct {
+	PS    *particle.Store
+	NCore int          // particle indices >= NCore are halo copies
+	Ref   *geom.Coords // what SweepAllBlocks measures displacement from; nil for none
+
+	Links      []cell.Link // core-core links [0:NCoreLinks) first (full energy), then halo links (half)
+	NCoreLinks int
+	View       *cell.View // Links pruned to contact range, walked in their place on request
+}
 
 // sweepPartial is one thread's share of a particle sweep's reduction:
 // the kinetic energy of its ranges and the largest squared displacement
@@ -37,66 +52,87 @@ func (tm *Team) sweepResult() (ekin, maxDisp2 float64) {
 	return r.ekin, r.maxDisp2
 }
 
-type integrateBody struct {
-	ps    *particle.Store
-	ref   *geom.Coords
-	nCore int
-	dt    float64
-	box   geom.Box
-	mode  force.WrapMode
+type zeroBlocksBody struct {
+	blocks []*BlockStore
 }
 
-func (b *integrateBody) RunThread(th *Thread) {
+func (b *zeroBlocksBody) RunThread(th *Thread) {
 	tm := th.team
-	lo, hi := chunk(b.nCore, tm.T, th.ID)
-	var p sweepPartial
-	p.add(force.Sweep(b.ps, b.ref, lo, hi, b.dt, b.box, b.mode, &th.TC))
-	tm.kPart[th.ID] = p
-	th.Compute(float64(hi-lo) * tm.Costs.PerParticle)
+	total := 0
+	for _, blk := range b.blocks {
+		lo, hi := chunk(blk.NCore, tm.T, th.ID)
+		for k := 0; k < blk.PS.D; k++ {
+			frc := blk.PS.Frc[k][lo:hi]
+			for i := range frc {
+				frc[i] = 0
+			}
+		}
+		total += hi - lo
+	}
+	th.Compute(float64(total) * tm.Costs.PerParticle / 4)
 }
 
-// SweepParallel runs force.Sweep over the first nCore particles with a
-// statically scheduled parallel loop ("the update of positions is
-// parallelised over particles"): each thread owns a disjoint chunk, so
-// there are no inter-thread dependencies, and the kinetic energy and
-// the rebuild criterion come out of the same region instead of two
-// walks by the master while the team is parked. It returns the kinetic
-// energy — the thread partials summed in thread order, a function of
-// (nCore, T) alone — and the largest squared displacement from ref
-// (zero when ref is nil).
-func SweepParallel(tm *Team, ps *particle.Store, ref *geom.Coords, nCore int, dt float64, box geom.Box, mode force.WrapMode) (ekin, maxDisp2 float64) {
-	tm.kInteg = integrateBody{ps: ps, ref: ref, nCore: nCore, dt: dt, box: box, mode: mode}
-	tm.RunRegion(&tm.kInteg)
+// ZeroForcesAllBlocks clears the core force accumulators of every
+// block inside a single parallel region — the paper's optimisation of
+// "having a single parallel region enclosing the outer loop over
+// blocks" for the simple loops.
+func ZeroForcesAllBlocks(tm *Team, blocks []*BlockStore) {
+	tm.kZeroB = zeroBlocksBody{blocks: blocks}
+	tm.RunRegion(&tm.kZeroB)
+}
+
+type integrateBlocksBody struct {
+	blocks []*BlockStore
+	cores  []int
+	dt     float64
+	box    geom.Box
+	mode   force.WrapMode
+}
+
+func (b *integrateBlocksBody) RunThread(th *Thread) {
+	tm := th.team
+	total := 0
+	var p sweepPartial
+	for i, blk := range b.blocks {
+		lo, hi := chunk(b.cores[i], tm.T, th.ID)
+		p.add(force.Sweep(blk.PS, blk.Ref, lo, hi, b.dt, b.box, b.mode, &th.TC))
+		total += hi - lo
+	}
+	tm.kPart[th.ID] = p
+	th.Compute(float64(total) * tm.Costs.PerParticle)
+}
+
+// SweepAllBlocks runs force.Sweep over every block's core particles in
+// a single statically scheduled parallel region ("the update of
+// positions is parallelised over particles"); chunks are disjoint so
+// no synchronisation is needed between threads or blocks. A thread adds
+// up its chunk of each block in block order, the master the threads in
+// thread order: the rank's kinetic energy — a function of the core
+// counts and T alone — and its largest squared displacement from the
+// blocks' Ref snapshots. With one thread the energy is the
+// block-by-block sum a single-threaded rank makes.
+func SweepAllBlocks(tm *Team, blocks []*BlockStore, cores []int, dt float64, box geom.Box, mode force.WrapMode) (ekin, maxDisp2 float64) {
+	tm.kIntegB = integrateBlocksBody{blocks: blocks, cores: cores, dt: dt, box: box, mode: mode}
+	tm.RunRegion(&tm.kIntegB)
 	return tm.sweepResult()
 }
 
-// IntegrateParallel advances the first nCore particles by one step:
-// SweepParallel without a reference, its results dropped.
-func IntegrateParallel(tm *Team, ps *particle.Store, nCore int, dt float64, box geom.Box, mode force.WrapMode) {
-	SweepParallel(tm, ps, nil, nCore, dt, box, mode)
+// IntegrateAllBlocks advances every block's core particles in a single
+// parallel region: SweepAllBlocks with its results dropped.
+func IntegrateAllBlocks(tm *Team, blocks []*BlockStore, cores []int, dt float64, box geom.Box, mode force.WrapMode) {
+	SweepAllBlocks(tm, blocks, cores, dt, box, mode)
 }
 
-type zeroForcesBody struct {
-	ps *particle.Store
-	n  int
-}
+// ZeroForcesParallel and IntegrateParallel are the one-block kernels
+// over the first n particles of ps. Only benchmarks/hostbench links
+// them; ROADMAP item 4 retires them.
 
-func (b *zeroForcesBody) RunThread(th *Thread) {
-	tm := th.team
-	lo, hi := chunk(b.n, tm.T, th.ID)
-	for k := 0; k < b.ps.D; k++ {
-		frc := b.ps.Frc[k][lo:hi]
-		for i := range frc {
-			frc[i] = 0
-		}
-	}
-	th.Compute(float64(hi-lo) * tm.Costs.PerParticle / 4)
-}
-
-// ZeroForcesParallel clears the force accumulators of the first n
-// particles in parallel; one of the "simplest loops" the paper fuses
-// into larger parallel regions.
+// ZeroForcesParallel is ZeroForcesAllBlocks over one block.
 func ZeroForcesParallel(tm *Team, ps *particle.Store, n int) {
-	tm.kZero = zeroForcesBody{ps: ps, n: n}
-	tm.RunRegion(&tm.kZero)
+	ZeroForcesAllBlocks(tm, []*BlockStore{{PS: ps, NCore: n}})
+}
+
+// IntegrateParallel is IntegrateAllBlocks over one block.
+func IntegrateParallel(tm *Team, ps *particle.Store, n int, dt float64, box geom.Box, mode force.WrapMode) {
+	IntegrateAllBlocks(tm, []*BlockStore{{PS: ps, NCore: n}}, []int{n}, dt, box, mode)
 }

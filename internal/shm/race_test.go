@@ -72,13 +72,13 @@ func TestRaceFusedUnderContention(t *testing.T) {
 			workA, workB := psA.Clone(), psB.Clone()
 			workA.ZeroForces()
 			workB.ZeroForces()
-			fu := NewFusedUpdater(m)
-			fu.Prepare([]FusedPiece{
+			fu := NewUpdater(m)
+			fu.PrepareBlocks([]*BlockStore{
 				{PS: workA, Links: listA.Links, NCoreLinks: listA.NCore, NCore: n},
 				{PS: workB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: n},
 			}, T)
 			tm := NewTeam(T, Costs{})
-			e := fu.Accumulate(tm, sp, box)
+			e := fu.AccumulateBlocks(tm, sp, box, false)
 			if math.Abs(e-eref) > 1e-9*math.Abs(eref) {
 				t.Fatalf("fused %v rep %d: energy %g vs serial %g", m, r, e, eref)
 			}

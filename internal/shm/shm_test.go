@@ -303,8 +303,9 @@ func TestModeledAtomicCostCharged(t *testing.T) {
 	}
 }
 
+// TestFusedMatchesSerial: one updater over two blocks with separate
+// stores leaves the serial kernel's forces and energy in each.
 func TestFusedMatchesSerial(t *testing.T) {
-	// Two pieces (blocks) with separate stores.
 	psA, listA, box, sp := buildForceSystem(19, 200, 30, 2)
 	psB, listB, _, _ := buildForceSystem(23, 150, 20, 2)
 
@@ -319,16 +320,16 @@ func TestFusedMatchesSerial(t *testing.T) {
 
 	for _, m := range []Method{Atomic, SelectedAtomic} {
 		for _, T := range []int{1, 3, 5} {
-			fu := NewFusedUpdater(m)
+			fu := NewUpdater(m)
 			workA, workB := psA.Clone(), psB.Clone()
 			workA.ZeroForces()
 			workB.ZeroForces()
-			fu.Prepare([]FusedPiece{
+			fu.PrepareBlocks([]*BlockStore{
 				{PS: workA, Links: listA.Links, NCoreLinks: listA.NCore, NCore: 200},
 				{PS: workB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: 150},
 			}, T)
 			tm := NewTeam(T, Costs{})
-			e := fu.Accumulate(tm, sp, box)
+			e := fu.AccumulateBlocks(tm, sp, box, false)
 			if math.Abs(e-eref) > 1e-9*math.Abs(eref) {
 				t.Errorf("fused %v T=%d: energy %g vs %g", m, T, e, eref)
 			}
@@ -349,35 +350,45 @@ func TestFusedMatchesSerial(t *testing.T) {
 }
 
 func TestFusedReducesConflictsVsPerBlock(t *testing.T) {
-	// With many pieces and few threads, global chunking gives most
-	// pieces to a single thread: the fused conflict count must be far
-	// below the per-block tables' total.
+	// With many blocks and few threads, chunking the blocks' links end
+	// to end gives most blocks to a single thread: the fused conflict
+	// count must be far below the per-block tables' total.
 	const T = 4
-	var pieces []FusedPiece
+	var blocks []*BlockStore
 	perBlockShared := 0
 	for s := int64(0); s < 12; s++ {
 		ps, list, _, _ := buildForceSystem(100+s, 120, 15, 2)
-		pieces = append(pieces, FusedPiece{PS: ps, Links: list.Links, NCoreLinks: list.NCore, NCore: 120})
-		ct := BuildConflictTable(list.Links, ps.Len(), 120, T)
-		perBlockShared += ct.NumShared()
+		blk := &BlockStore{PS: ps, Links: list.Links, NCoreLinks: list.NCore, NCore: 120}
+		blocks = append(blocks, blk)
+		u := NewUpdater(SelectedAtomic)
+		u.PrepareBlocks([]*BlockStore{blk}, T)
+		if ct := BuildConflictTable(list.Links, ps.Len(), 120, T); u.NumShared() != ct.NumShared() {
+			t.Fatalf("block %d: one-block updater shares %d, the table %d", s, u.NumShared(), ct.NumShared())
+		}
+		perBlockShared += u.NumShared()
 	}
-	fu := NewFusedUpdater(SelectedAtomic)
-	fu.Prepare(pieces, T)
+	fu := NewUpdater(SelectedAtomic)
+	fu.PrepareBlocks(blocks, T)
 	if fu.NumShared()*4 > perBlockShared {
 		t.Errorf("fused shared %d not well below per-block %d", fu.NumShared(), perBlockShared)
 	}
 }
 
+// TestFusedRejectsReductionMethods: the array reductions reduce one
+// block's force array, so preparing one over two blocks panics, while
+// one block is their normal case.
 func TestFusedRejectsReductionMethods(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("fused updater accepted stripe method")
-		}
-	}()
-	NewFusedUpdater(Stripe)
+	psA, listA, _, _ := buildForceSystem(19, 60, 10, 2)
+	psB, listB, _, _ := buildForceSystem(23, 50, 10, 2)
+	a := &BlockStore{PS: psA, Links: listA.Links, NCoreLinks: listA.NCore, NCore: 60}
+	b := &BlockStore{PS: psB, Links: listB.Links, NCoreLinks: listB.NCore, NCore: 50}
+	for _, m := range []Method{CriticalReduction, Stripe, Transpose} {
+		NewUpdater(m).PrepareBlocks([]*BlockStore{a}, 2)
+		expectPanic(t, "runs one block", func() { NewUpdater(m).PrepareBlocks([]*BlockStore{a, b}, 2) })
+	}
 }
 
-func TestIntegrateParallelMatchesSerial(t *testing.T) {
+func TestIntegrateAllBlocksMatchesSerial(t *testing.T) {
 	box := geom.NewBox(2, 1, geom.Periodic)
 	a := particle.New(2, 100)
 	rng := rand.New(rand.NewSource(31))
@@ -388,7 +399,7 @@ func TestIntegrateParallelMatchesSerial(t *testing.T) {
 	b := a.Clone()
 	force.Integrate(a, 100, 0.01, box, force.WrapGlobal, nil)
 	tm := NewTeam(3, Costs{})
-	IntegrateParallel(tm, b, 100, 0.01, box, force.WrapGlobal)
+	IntegrateAllBlocks(tm, []*BlockStore{{PS: b, NCore: 100}}, []int{100}, 0.01, box, force.WrapGlobal)
 	for i := 0; i < 100; i++ {
 		if a.PosAt(i) != b.PosAt(i) || a.VelAt(i) != b.VelAt(i) {
 			t.Fatalf("parallel integrate diverges at %d", i)

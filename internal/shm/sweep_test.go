@@ -36,12 +36,12 @@ func sameState(t *testing.T, got, want *particle.Store, n int) {
 	}
 }
 
-// TestSweepParallelIsThreadOrderedSum: across a team the sweep moves
-// every particle as one thread would, finds the same maximum, and
-// returns as kinetic energy the partial sums of the static chunks added
-// in thread order — the same bits on every one of twenty runs, and at
-// T=1 the serial sum itself.
-func TestSweepParallelIsThreadOrderedSum(t *testing.T) {
+// TestSweepOneBlockIsThreadOrderedSum: across a team the sweep of one
+// block moves every particle as one thread would, finds the same
+// maximum, and returns as kinetic energy the partial sums of the static
+// chunks added in thread order — the same bits on every one of twenty
+// runs, and at T=1 the serial sum itself.
+func TestSweepOneBlockIsThreadOrderedSum(t *testing.T) {
 	const n, dt = 1000, 1e-3
 	box := geom.NewBox(3, 1, geom.Periodic)
 	for _, T := range []int{1, 2, 3, 5} {
@@ -64,7 +64,7 @@ func TestSweepParallelIsThreadOrderedSum(t *testing.T) {
 		tm := NewTeam(T, Costs{})
 		for run := 0; run < 20; run++ {
 			got := start.Clone()
-			e, m := SweepParallel(tm, got, &ref, n, dt, box, force.WrapGlobal)
+			e, m := SweepAllBlocks(tm, []*BlockStore{{PS: got, NCore: n, Ref: &ref}}, []int{n}, dt, box, force.WrapGlobal)
 			if math.Float64bits(e) != math.Float64bits(wantE) {
 				t.Fatalf("T=%d run %d: ekin %.17g, thread-ordered sum of partials %.17g", T, run, e, wantE)
 			}

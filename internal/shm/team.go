@@ -153,9 +153,7 @@ type Team struct {
 	pendingBody RegionBody
 
 	// Reused bodies for the allocation-free kernel entry points
-	// (kernels.go, fused.go).
-	kZero   zeroForcesBody
-	kInteg  integrateBody
+	// (kernels.go, pool.go).
 	kZeroB  zeroBlocksBody
 	kIntegB integrateBlocksBody
 	kFor    forBody

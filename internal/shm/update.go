@@ -57,6 +57,13 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
+// ArrayReduction reports whether m accumulates into thread-private
+// copies of a block's force array and reduces them into it: such an
+// Updater runs exactly one block.
+func (m Method) ArrayReduction() bool {
+	return m == CriticalReduction || m == Stripe || m == Transpose
+}
+
 // Methods lists the strategies the paper benchmarks (Figure 4/5 show
 // atomic, selected atomic, and the stripe/transpose pair; the critical
 // reduction is measured but unplotted).
@@ -84,13 +91,12 @@ func MethodByName(name string) (Method, error) {
 }
 
 // PairForceHook, when non-nil, intercepts every pair force computed by
-// the shared-memory updaters (per-block and fused) before it is
-// accumulated: it receives the update method and the two particle IDs
-// and returns the force to apply to endpoint I. It is a fault-injection
-// point for the conformance harness in internal/verify — a test can
-// corrupt the output of exactly one update strategy and assert the
-// differential runner localises the divergence — and must stay nil in
-// production. Set and clear it only while no simulation is running.
+// the shared-memory Updater before it is accumulated: it receives the
+// update method and the two particle IDs and returns the force to apply
+// to endpoint I. It is a fault-injection point for the conformance
+// harness in internal/verify — a test can corrupt the output of exactly
+// one update strategy and assert the differential runner localises the
+// divergence — and must stay nil in production. Set and clear it only while no simulation is running.
 var PairForceHook func(m Method, idI, idJ int32, fi geom.Vec) geom.Vec
 
 // ConflictTable records which particles are updated by links belonging
@@ -141,24 +147,9 @@ func (ct *ConflictTable) mark(p, t int32, nCore int) {
 	}
 }
 
-// rebuild scans links as distributed over T threads (the static chunk
-// schedule) and marks particles with links belonging to more than one
-// thread, reusing the table's storage.
-func (ct *ConflictTable) rebuild(links []cell.Link, nParticles, nCore, T int) {
-	ct.resize(nParticles)
-	n := len(links)
-	for t := 0; t < T; t++ {
-		lo, hi := chunk(n, T, t)
-		for _, l := range links[lo:hi] {
-			ct.mark(l.I, int32(t), nCore)
-			ct.mark(l.J, int32(t), nCore)
-		}
-	}
-}
-
-// rebuildRanges is rebuild for an explicit per-thread link range list
-// (the fused updater's global chunking clipped to one piece).
-func (ct *ConflictTable) rebuildRanges(links []cell.Link, nParticles, nCore int, ranges [][2]int) {
+// rebuild marks the particles with links in more than one of the
+// per-thread ranges of links, reusing the table's storage.
+func (ct *ConflictTable) rebuild(links []cell.Link, nParticles, nCore int, ranges [][2]int) {
 	ct.resize(nParticles)
 	for t, r := range ranges {
 		for _, l := range links[r[0]:r[1]] {
@@ -168,11 +159,17 @@ func (ct *ConflictTable) rebuildRanges(links []cell.Link, nParticles, nCore int,
 	}
 }
 
-// BuildConflictTable scans links as distributed over T threads and
-// marks particles with links belonging to more than one thread.
+// BuildConflictTable scans links as distributed over T threads (the
+// static chunk schedule) and marks particles with links belonging to
+// more than one thread.
 func BuildConflictTable(links []cell.Link, nParticles, nCore, T int) *ConflictTable {
+	ranges := make([][2]int, T)
+	for t := range ranges {
+		lo, hi := chunk(len(links), T, t)
+		ranges[t] = [2]int{lo, hi}
+	}
 	ct := new(ConflictTable)
-	ct.rebuild(links, nParticles, nCore, T)
+	ct.rebuild(links, nParticles, nCore, ranges)
 	return ct
 }
 
@@ -294,24 +291,39 @@ func pairHook(m Method) func(idI, idJ int32, fi geom.Vec) geom.Vec {
 	return func(idI, idJ int32, fi geom.Vec) geom.Vec { return hook(m, idI, idJ, fi) }
 }
 
-// Updater executes the thread-parallel force accumulation for one
-// block with a chosen protection method. The pair loop itself is
-// force.Spring.AccumulateRange; the updater owns what is specific to
-// threads: the chunking, the per-particle locks and their mask, the
+// Updater executes the thread-parallel force accumulation over a list
+// of blocks with a chosen protection method, in one statically
+// scheduled region: each thread takes its chunk of the blocks' links
+// laid end to end, clipped to each block. Over one block this is the
+// paper's per-block loop; over all of a rank's blocks it is its Section
+// 11 proposal, "a single parallel loop over all links in all blocks
+// rather than one loop per block", where with many blocks per thread
+// most blocks are private to one thread, the conflict (lock) fraction
+// collapses and one region replaces one per block. The pair loop itself
+// is force.Spring.AccumulateRange; the updater owns what is specific to
+// threads: the chunking, the per-particle locks and their masks, the
 // reduction scratch and merges, and the virtual-clock charge.
 type Updater struct {
 	Method Method
-	locks  []int32       // per-particle spinlocks (atomic methods)
-	mask   []bool        // which particles the kernel locks; nil = none
-	all    []bool        // all-true backing of the Atomic mask
-	priv   []geom.Coords // T thread-private force arrays (reductions)
-	ct     *ConflictTable
-	counts []updateCounts // per thread, from Prepare
 
-	// Prepared geometry, recorded so Accumulate can detect a
-	// mismatched team or link list instead of racing silently.
-	preparedT     int
-	preparedLinks int
+	// Prepared geometry: the blocks, the start of each in the
+	// concatenated list (len(blocks)+1 entries) and the team size, so
+	// a mismatched team or list panics instead of racing silently.
+	blocks  []*BlockStore
+	offsets []int
+	T       int
+
+	tables []*ConflictTable // per block, selected-atomic only
+	masks  [][]bool         // per block: which particles the kernel locks; nil = none
+	all    []bool           // all-true backing of the Atomic masks
+	locks  [][]int32        // per block: per-particle spinlocks
+	ranges [][2]int         // per-thread range scratch of Prepare
+	counts []updateCounts   // per thread, summed over blocks
+	priv   []geom.Coords    // T thread-private force arrays (reductions)
+
+	// The block of the one-block Prepare and Accumulate.
+	one     BlockStore
+	oneList [1]*BlockStore
 
 	// Reused per-call scratch (no closures on the hot path).
 	epotPer []float64
@@ -321,48 +333,260 @@ type Updater struct {
 // NewUpdater returns an updater for the given method.
 func NewUpdater(m Method) *Updater { return &Updater{Method: m} }
 
-// Prepare must be called whenever the link list changes: it (re)builds
-// the conflict table for the selected-atomic method, resizes the lock
-// array and counts each thread's locked and unlocked updates. T is the
-// team size the force loop will use; Accumulate panics if run with a
-// different team size or link count.
+// Prepare is PrepareBlocks for one block of nParticles particles (the
+// first nCore of them core) whose store Accumulate is handed later.
 func (u *Updater) Prepare(links []cell.Link, nParticles, nCore, T int) {
-	if cap(u.locks) < nParticles {
-		u.locks = make([]int32, nParticles)
+	u.one = BlockStore{NCore: nCore, Links: links}
+	u.oneList[0] = &u.one
+	u.begin(u.oneList[:], T)
+	u.prepareBlock(0, nParticles)
+}
+
+// PrepareBlocks must be called whenever a block's link list changes: it
+// (re)builds the conflict tables for the selected-atomic method, resizes
+// the lock arrays and counts each thread's locked and unlocked updates,
+// all for the static chunking of the blocks' links over T threads. The
+// blocks slice is retained, not copied; the accumulations panic if run
+// with a different team size or link count. The array reductions need
+// a private copy of the force array they reduce, so they take exactly
+// one block.
+func (u *Updater) PrepareBlocks(blocks []*BlockStore, T int) {
+	if u.Method.ArrayReduction() && len(blocks) != 1 {
+		panic(fmt.Sprintf("shm: method %v runs one block, not %d", u.Method, len(blocks)))
 	}
-	u.locks = u.locks[:nParticles]
+	u.begin(blocks, T)
+	for i, b := range blocks {
+		u.prepareBlock(i, b.PS.Len())
+	}
+}
+
+// begin records the blocks' geometry and sizes the per-block and
+// per-thread scratch, reusing it.
+func (u *Updater) begin(blocks []*BlockStore, T int) {
+	u.blocks, u.T = blocks, T
+	u.offsets = append(u.offsets[:0], 0)
+	for i, b := range blocks {
+		u.offsets = append(u.offsets, u.offsets[i]+len(b.Links))
+	}
+	for len(u.tables) < len(blocks) {
+		u.tables = append(u.tables, new(ConflictTable))
+		u.masks = append(u.masks, nil)
+		u.locks = append(u.locks, nil)
+	}
+	if cap(u.ranges) < T {
+		u.ranges = make([][2]int, T)
+		u.counts = make([]updateCounts, T)
+		u.epotPer = make([]float64, T)
+	}
+	u.ranges, u.counts, u.epotPer = u.ranges[:T], u.counts[:T], u.epotPer[:T]
+	clear(u.counts)
+}
+
+// prepareBlock builds block i's conflict table, lock mask and locks
+// for n particles and adds its updates to the thread counts.
+func (u *Updater) prepareBlock(i, n int) {
+	b := u.blocks[i]
+	for t := range u.ranges {
+		lo, hi := u.blockRange(i, t)
+		u.ranges[t] = [2]int{lo, hi}
+	}
+	if u.Method == SelectedAtomic {
+		u.tables[i].rebuild(b.Links, n, b.NCore, u.ranges)
+	}
+	u.masks[i] = lockMask(u.Method, u.tables[i], &u.all, n)
+	for t, r := range u.ranges {
+		u.counts[t].count(b.Links[r[0]:r[1]], b.NCore, u.masks[i])
+	}
+	if cap(u.locks[i]) < n {
+		u.locks[i] = make([]int32, n)
+	}
 	// Zero the reused prefix unconditionally: if a prior region was
 	// abandoned (clockBarrier.abort after a sibling panic) while some
 	// thread held a per-particle spinlock, the stale lock word would
 	// deadlock the first locked add of the next run.
-	for i := range u.locks {
-		u.locks[i] = 0
+	u.locks[i] = u.locks[i][:n]
+	clear(u.locks[i])
+}
+
+// blockRange clips thread t's chunk of the concatenated list to block
+// i, in block-local link indices; hi <= lo when they do not meet.
+func (u *Updater) blockRange(i, t int) (lo, hi int) {
+	glo, ghi := chunk(u.offsets[len(u.blocks)], u.T, t)
+	n := u.offsets[i+1] - u.offsets[i]
+	lo = min(max(glo-u.offsets[i], 0), n)
+	hi = min(max(ghi-u.offsets[i], lo), n)
+	return lo, hi
+}
+
+// NumShared returns the number of particles the last Prepare found
+// updated by more than one thread, over all blocks; zero for methods
+// that build no conflict table.
+func (u *Updater) NumShared() int {
+	if u.Method != SelectedAtomic {
+		return 0
 	}
-	if u.Method == SelectedAtomic {
-		if u.ct == nil {
-			u.ct = new(ConflictTable)
-		}
-		u.ct.rebuild(links, nParticles, nCore, T)
+	n := 0
+	for _, ct := range u.tables[:len(u.blocks)] {
+		n += ct.nShared
 	}
-	u.mask = lockMask(u.Method, u.ct, &u.all, nParticles)
-	u.preparedT = T
-	u.preparedLinks = len(links)
-	if cap(u.epotPer) < T {
-		u.epotPer = make([]float64, T)
-		u.counts = make([]updateCounts, T)
+	return n
+}
+
+// accArgs carries one accumulation's inputs to the region body.
+type accArgs struct {
+	sp    force.Spring
+	box   geom.Box
+	views bool // walk the blocks' views in place of their lists
+	hook  func(idI, idJ int32, fi geom.Vec) geom.Vec
+	priv  []geom.Coords // nil for the per-update protection methods
+
+	// gate, when non-nil, blocks each thread at the core/halo link
+	// boundary of its chunk until the rank's split-phase halo exchange
+	// has landed (overlapped force path). Iteration order is unchanged:
+	// the gate is a pause between the chunk's core range and its halo
+	// range, so the conflict tables and the accumulation order stay
+	// valid.
+	gate *HaloGate
+}
+
+// Accumulate is AccumulateBlocks over the one block Prepare saw, with
+// store ps and links whose first nCoreLinks are core-core.
+func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box) float64 {
+	if len(u.blocks) != 1 {
+		panic(fmt.Sprintf("shm: updater prepared for %d blocks, run over one", len(u.blocks)))
 	}
-	u.epotPer = u.epotPer[:T]
-	u.counts = u.counts[:T]
-	for t := range u.counts {
-		lo, hi := chunk(len(links), T, t)
-		u.counts[t] = updateCounts{}
-		u.counts[t].count(links[lo:hi], nCore, u.mask)
+	u.one = BlockStore{PS: ps, NCore: nCore, Links: links, NCoreLinks: nCoreLinks}
+	u.oneList[0] = &u.one
+	u.blocks = u.oneList[:]
+	return u.AccumulateBlocks(tm, sp, box, false)
+}
+
+// AccumulateBlocks runs the parallel force loop over the prepared
+// blocks (in each, core links first, then halo links whose energy
+// counts half), adding pair forces into each block's store and
+// returning the potential energy. Forces land on endpoint I always and
+// on J when J < NCore, identically to the serial kernel in
+// internal/force.
+//
+// Every block's whole list is processed in ONE statically scheduled
+// loop — the distribution PrepareBlocks built the conflict tables for.
+// Splitting core and halo links into separate loops would redistribute
+// links over threads and invalidate the tables, which is why the
+// accumulations panic when the team size or link count differs from
+// Prepare's.
+//
+// With views, and no pair hook set, each thread walks the image of its
+// range of each block's list in the block's View, split at the image of
+// the core/halo boundary, so every thread meets the same contacts in
+// the same order and the conflict tables, the lock masks and the
+// per-call energy association stand. The virtual clock still counts
+// links.
+func (u *Updater) AccumulateBlocks(tm *Team, sp force.Spring, box geom.Box, views bool) float64 {
+	u.setupRegion(tm, sp, box, views, nil)
+	tm.RunRegion(u)
+	return sumEpot(u.epotPer)
+}
+
+// AccumulateStart dispatches the force region to the worker threads
+// and returns without running the master's share: the rank goroutine
+// is free to drain its split-phase halo exchange while threads 1..T-1
+// chew through the core links. Threads reaching the core/halo boundary
+// block on gate until the caller opens it; the caller then completes
+// the region with AccumulateFinish. views is AccumulateBlocks' flag.
+func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, box geom.Box, views bool, gate *HaloGate) {
+	u.setupRegion(tm, sp, box, views, gate)
+	tm.StartRegion(u)
+}
+
+// AccumulateFinish runs the master's share of a region begun with
+// AccumulateStart — starting no earlier than masterAt on the virtual
+// timeline — joins the team, and returns the potential energy.
+func (u *Updater) AccumulateFinish(tm *Team, masterAt float64) float64 {
+	tm.FinishRegion(masterAt)
+	return sumEpot(u.epotPer)
+}
+
+// setupRegion validates the call against Prepare and stores the
+// region inputs. A hook sees every pair, so it drops the views.
+func (u *Updater) setupRegion(tm *Team, sp force.Spring, box geom.Box, views bool, gate *HaloGate) {
+	ok, links := tm.T == u.T, 0
+	for i, b := range u.blocks {
+		ok = ok && len(b.Links) == u.offsets[i+1]-u.offsets[i]
+		links += len(b.Links)
+	}
+	if !ok {
+		panic(fmt.Sprintf("shm: updater prepared for T=%d over %d links, run with T=%d over %d links",
+			u.T, u.offsets[len(u.offsets)-1], tm.T, links))
+	}
+	hook := pairHook(u.Method)
+	u.args = accArgs{sp: sp, box: box, views: views && hook == nil, hook: hook, gate: gate}
+	switch u.Method {
+	case Atomic, SelectedAtomic, Unprotected:
+	case CriticalReduction, Stripe, Transpose:
+		ps := u.blocks[0].PS
+		u.args.priv = u.ensurePriv(tm.T, ps.Len(), ps.D)
+	default:
+		panic(fmt.Sprintf("shm: unknown update method %v", u.Method))
 	}
 }
 
-// Conflicts returns the conflict table built by the last Prepare, or
-// nil for methods that do not use one.
-func (u *Updater) Conflicts() *ConflictTable { return u.ct }
+// sumEpot folds the per-thread potential-energy partials.
+func sumEpot(per []float64) float64 {
+	epot := 0.0
+	for _, e := range per {
+		epot += e
+	}
+	return epot
+}
+
+// RunThread is one thread's share of the force region: its range of
+// each block's list through the pair kernel — into the block's force
+// array under the method's lock mask, or into the thread's private
+// array followed by the method's merge.
+//
+// A thread skips a block its chunk misses, except that over a single
+// block every thread runs its chunk even when it is empty: such a
+// thread, lying at or past the core/halo boundary, still waits on the
+// gate, and its wait is the region's exposed communication. One wait
+// suffices: the exchange delivers every block's halo before the gate
+// opens.
+func (u *Updater) RunThread(th *Thread) {
+	a := &u.args
+	var tl tally
+	gate := a.gate
+	for i, b := range u.blocks {
+		lo, hi := u.blockRange(i, th.ID)
+		if hi <= lo && len(u.blocks) > 1 {
+			continue
+		}
+		sink := force.Sink{Frc: &b.PS.Frc, Shared: u.masks[i], Locks: u.locks[i], Hook: a.hook}
+		if a.priv != nil {
+			sink.Frc = &a.priv[th.ID]
+		}
+		var view *cell.View
+		if a.views {
+			view = b.View
+		}
+		if tl.run(th, gate, a.sp, &sink, b.PS, b.Links, view, lo, hi, b.NCoreLinks, b.NCore, a.box) {
+			gate = nil
+		}
+	}
+	u.epotPer[th.ID] = tl.epot
+	if a.priv == nil {
+		tl.bookLocked(th, u.counts[th.ID])
+		return
+	}
+	// Private accumulation plus the zeroing traffic of the scratch
+	// array, then the merge.
+	ps := u.blocks[0].PS
+	costs := &th.team.Costs
+	words := ps.Len() * ps.D
+	contactCost := tl.book(th)
+	th.TC.ForceUpdates += 2 * tl.links
+	th.Compute(tl.effLinks*(costs.PerLink+2*costs.PerUpdate) + contactCost +
+		float64(words)*costs.ReductionWord)
+	u.reduce(th, &ps.Frc, words, ps.D)
+}
 
 // ensurePriv sizes and zeroes the T private force arrays of d
 // components by n particles and returns them. The zeroing traffic is
@@ -387,142 +611,6 @@ func (u *Updater) ensurePriv(T, n, d int) []geom.Coords {
 		}
 	}
 	return u.priv[:T]
-}
-
-// accArgs carries one Accumulate call's inputs to the region body.
-type accArgs struct {
-	sp         force.Spring
-	ps         *particle.Store
-	links      []cell.Link
-	view       *cell.View // walked in place of links when non-nil
-	nCoreLinks int
-	nCore      int
-	box        geom.Box
-	sink       force.Sink    // into ps.Frc; the reductions swap Frc per thread
-	priv       []geom.Coords // nil for the per-update protection methods
-
-	// gate, when non-nil, blocks each thread at the core/halo link
-	// boundary of its chunk until the rank's split-phase halo exchange
-	// has landed (overlapped force path). Iteration order is unchanged:
-	// the gate is a pause between the chunk's core range and its halo
-	// range, so the conflict table and the accumulation order stay valid.
-	gate *HaloGate
-}
-
-// Accumulate runs the parallel force loop over the block's single
-// link list (core links first, then halo links whose energy counts
-// half), adding pair forces into ps.Frc and returning the potential
-// energy. Forces land on endpoint I always and on J when J < nCore,
-// identically to the serial kernel in internal/force.
-//
-// The whole list is processed in ONE statically scheduled loop — the
-// same distribution Prepare built the conflict table for. Splitting
-// core and halo links into separate loops would redistribute links
-// over threads and invalidate the table, which is why Accumulate
-// panics when the team size or link count differs from Prepare's.
-func (u *Updater) Accumulate(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, nCoreLinks, nCore int, box geom.Box) float64 {
-	return u.AccumulateView(tm, sp, ps, links, nil, nCoreLinks, nCore, box)
-}
-
-// AccumulateView is Accumulate walking, in place of links, their
-// contact-range view when view is non-nil and no pair hook is set: each
-// thread walks the image of its static chunk, split at the image of
-// the core/halo boundary, so every thread meets the same contacts in
-// the same order and the conflict table, the lock mask and the per-call
-// energy association stand. The virtual clock still counts links.
-func (u *Updater) AccumulateView(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, view *cell.View, nCoreLinks, nCore int, box geom.Box) float64 {
-	u.setupRegion(tm, sp, ps, links, view, nCoreLinks, nCore, box, nil)
-	tm.RunRegion(u)
-	return sumEpot(u.epotPer)
-}
-
-// AccumulateStart dispatches the force region to the worker threads
-// and returns without running the master's share: the rank goroutine
-// is free to drain its split-phase halo exchange while threads 1..T-1
-// chew through the core links. Threads reaching the core/halo boundary
-// block on gate until the caller opens it; the caller then completes
-// the region with AccumulateFinish. A non-nil view is walked as
-// AccumulateView walks it.
-func (u *Updater) AccumulateStart(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, view *cell.View, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
-	u.setupRegion(tm, sp, ps, links, view, nCoreLinks, nCore, box, gate)
-	tm.StartRegion(u)
-}
-
-// AccumulateFinish runs the master's share of a region begun with
-// AccumulateStart — starting no earlier than masterAt on the virtual
-// timeline — joins the team, and returns the potential energy.
-func (u *Updater) AccumulateFinish(tm *Team, masterAt float64) float64 {
-	tm.FinishRegion(masterAt)
-	return sumEpot(u.epotPer)
-}
-
-// setupRegion validates the call against Prepare and stores the
-// region inputs. A hook sees every pair, so it drops the view.
-func (u *Updater) setupRegion(tm *Team, sp force.Spring, ps *particle.Store, links []cell.Link, view *cell.View, nCoreLinks, nCore int, box geom.Box, gate *HaloGate) {
-	if tm.T != u.preparedT || len(links) != u.preparedLinks {
-		panic(fmt.Sprintf("shm: updater prepared for T=%d over %d links, run with T=%d over %d links",
-			u.preparedT, u.preparedLinks, tm.T, len(links)))
-	}
-	hook := pairHook(u.Method)
-	if hook != nil {
-		view = nil
-	}
-	u.args = accArgs{
-		sp:         sp,
-		ps:         ps,
-		links:      links,
-		view:       view,
-		nCoreLinks: nCoreLinks,
-		nCore:      nCore,
-		box:        box,
-		sink:       force.Sink{Frc: &ps.Frc, Shared: u.mask, Locks: u.locks, Hook: hook},
-		gate:       gate,
-	}
-	switch u.Method {
-	case Atomic, SelectedAtomic, Unprotected:
-	case CriticalReduction, Stripe, Transpose:
-		u.args.priv = u.ensurePriv(tm.T, ps.Len(), ps.D)
-	default:
-		panic(fmt.Sprintf("shm: unknown update method %v", u.Method))
-	}
-}
-
-// sumEpot folds the per-thread potential-energy partials.
-func sumEpot(per []float64) float64 {
-	epot := 0.0
-	for _, e := range per {
-		epot += e
-	}
-	return epot
-}
-
-// RunThread is one thread's share of the force region: its static
-// chunk of the list through the pair kernel — into the block's force
-// array under the method's lock mask, or into the thread's private
-// array followed by the method's merge.
-func (u *Updater) RunThread(th *Thread) {
-	a := &u.args
-	lo, hi := chunk(len(a.links), th.team.T, th.ID)
-	sink := a.sink
-	if a.priv != nil {
-		sink.Frc = &a.priv[th.ID]
-	}
-	var tl tally
-	tl.run(th, a.gate, a.sp, &sink, a.ps, a.links, a.view, lo, hi, a.nCoreLinks, a.nCore, a.box)
-	u.epotPer[th.ID] = tl.epot
-	if a.priv == nil {
-		tl.bookLocked(th, u.counts[th.ID])
-		return
-	}
-	// Private accumulation plus the zeroing traffic of the scratch
-	// array, then the merge.
-	costs := &th.team.Costs
-	words := a.ps.Len() * a.ps.D
-	contactCost := tl.book(th)
-	th.TC.ForceUpdates += 2 * tl.links
-	th.Compute(tl.effLinks*(costs.PerLink+2*costs.PerUpdate) + contactCost +
-		float64(words)*costs.ReductionWord)
-	u.reduce(th, &a.ps.Frc, words, a.ps.D)
 }
 
 // mergeWords adds words [lo, hi) of a private array into frc. Words

@@ -2,11 +2,13 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"hybriddem/internal/checkpoint"
 	"hybriddem/internal/core"
+	"hybriddem/internal/force"
 	"hybriddem/internal/geom"
 	"hybriddem/internal/shm"
 )
@@ -135,17 +137,57 @@ func resumeFrom(t *testing.T, base core.Config, res *core.Result, iters int) *Tr
 // contact-range view on some measured steps and the skin list on
 // others, so that cuts land in both states and resumes cross both
 // transitions: a view pruned at a rebuild, and one expired by the
-// displacement since. A bonded run and a fused one must never walk it.
+// displacement since. A bonded run must never walk it; a fused run
+// walks it like every other unbonded run.
 func crossesView(t *testing.T, cfg core.Config, res *core.Result) {
 	t.Helper()
-	if cfg.Spring.Bonds != nil || cfg.Fused {
+	if cfg.Spring.Bonds != nil {
 		if res.ViewSteps != 0 {
-			t.Fatalf("a bonded or fused run walked the view on %d of %d steps", res.ViewSteps, res.Iters)
+			t.Fatalf("a bonded run walked the view on %d of %d steps", res.ViewSteps, res.Iters)
 		}
 		return
 	}
 	if res.ViewSteps == 0 || res.ViewSteps == res.Iters {
 		t.Fatalf("the view served %d of %d steps: the bed does not cross both states", res.ViewSteps, res.Iters)
+	}
+}
+
+// TestFusedViewEqualsSkinList: the fused hybrid loop, one updater over
+// all of a rank's blocks, walks the blocks' contact-range views on some
+// steps and their skin lists on others, on the synchronous and the
+// overlapped exchange, and lands on the bits of the same run walking
+// the skin lists on every step — an empty bond table sends the pair
+// kernel down its generic path, which computes the same bits and never
+// takes a view.
+func TestFusedViewEqualsSkinList(t *testing.T) {
+	const iters = 28
+	for _, d := range []int{2, 3} {
+		for _, m := range []shm.Method{shm.Atomic, shm.SelectedAtomic} {
+			for _, overlap := range []bool{true, false} {
+				t.Run(fmt.Sprintf("d%d/%v/overlap=%v", d, m, overlap), func(t *testing.T) {
+					cfg := denseBed(d, 1500)
+					cfg.Mode, cfg.P, cfg.T, cfg.BlocksPerProc = core.Hybrid, 2, 1, 4
+					cfg.Method, cfg.Fused, cfg.Overlap = m, true, overlap
+					got, err := Capture(cfg, iters)
+					if err != nil {
+						t.Fatal(err)
+					}
+					crossesView(t, cfg, got.Res)
+					skin := cfg
+					skin.Spring.Bonds = force.NewBondTable(cfg.N, 1, cfg.Spring.K, 0)
+					want, err := Capture(skin, iters)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.Res.ViewSteps != 0 {
+						t.Fatalf("the skin-list walk took the view on %d steps", want.Res.ViewSteps)
+					}
+					if dv := CompareExact(want, got); dv != nil {
+						t.Fatalf("fused run walking views: %v", dv)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -155,8 +197,8 @@ func crossesView(t *testing.T, cfg core.Config, res *core.Result) {
 // dense settling bed in 2-D and 3-D and a bed of damped bonded grains,
 // a run canceled after every step k in [1, 40], checkpointed through a
 // file and resumed replays the remaining steps on the bits of a run
-// that never stopped. Every unbonded, unfused run walks the
-// contact-range view on some steps and the skin list on others.
+// that never stopped. Every unbonded run walks the contact-range view
+// on some steps and the skin list on others.
 // -short keeps a few cuts.
 func TestCancelResumeEveryStep(t *testing.T) {
 	const total, lastCut = 48, 40

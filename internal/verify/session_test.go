@@ -27,8 +27,8 @@ func probeInto(cfg *core.Config) *Trajectory {
 // in all five modes with cache reordering on and their variants, on the
 // dense settling bed in 2-D and 3-D: a durable boundary gathers the
 // state and writes it down, and changes nothing about the run. Every
-// unfused run walks the contact-range view on some steps and the skin
-// list on others.
+// run walks the contact-range view on some steps and the skin list on
+// others.
 func TestChunkedEqualsUnbroken(t *testing.T) {
 	const total = 28
 	for _, d := range []int{2, 3} {
